@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -408,8 +408,7 @@ def relaxed_divide(
     restart_index: int = 0,
 ) -> SearchTrace:
     """One floor-bounded division run: split until intervals reach 2 * eta."""
-    base = config or SearchConfig()
-    cfg = SearchConfig(**{**base.__dict__, "eta_seconds": float(eta_seconds)})
+    cfg = replace(config or SearchConfig(), eta_seconds=float(eta_seconds))
     fit_config = fit_config or FitConfig()
     engine = _SearchEngine(
         CellData(counts), None, counts.window, "relaxed", fit_config, cfg,
@@ -454,16 +453,16 @@ def learn(
 
     if kind == "tikhonov" and config.gamma is None:
         gamma = _select_gamma(train_counts, fit_config, config)
-        config = SearchConfig(**{**config.__dict__, "gamma": gamma})
+        config = replace(config, gamma=gamma)
 
-    window = train_counts.window
+    data = CellData(train_counts)  # holds this call's fits; the final refit reads them
     if kind == "equal":
-        best_partition = equal_partition(window, n_equal)
+        best_partition = equal_partition(train_counts.window, n_equal)
         traces: list[SearchTrace] = []
     else:
-        best_partition, traces = _search_best(train_events, train_counts, kind, fit_config, config)
+        best_partition, traces = _search_best(train_events, data, kind, fit_config, config)
 
-    model, risks, sizes = fit_partition(train_counts, best_partition, fit_config)
+    model, risks, sizes = fit_partition(train_counts, best_partition, fit_config, data=data)
     b_risk = binned_risk(sizes, risks)
     p_risk = (
         penalized_risk(sizes, risks, best_partition, config.gamma)
@@ -518,33 +517,33 @@ def learn(
 
 def _search_best(
     train_events: EventSeries | None,
-    train_counts: CountTable,
+    data: CellData,
     kind: str,
     fit_config: FitConfig,
     config: SearchConfig,
 ) -> tuple[Partition, list[SearchTrace]]:
-    data = CellData(train_counts)
+    window = data.window
     events = _events_by_day(train_events) if kind == "ivanov" else None
     if kind == "ivanov" and events is None:
         raise ValueError("ivanov learning requires training arrival times")
-    if kind == "ivanov" and train_events.window != train_counts.window:
+    if kind == "ivanov" and train_events.window != window:
         raise ValueError("events and counts must share a window")
     best_score = math.inf
     best_knots: tuple[float, ...] = ()
     traces = []
     for r in range(config.max_restarts):
         engine = _SearchEngine(
-            data, events, train_counts.window, kind, fit_config, config,
+            data, events, window, kind, fit_config, config,
             _restart_rng(config.seed, r),
         )
         trace = engine.run()
         traces.append(trace)
         candidate = trace.best_knots
-        score = _outer_score(data, train_counts.window, candidate, fit_config, config, kind)
+        score = _outer_score(data, window, candidate, fit_config, config, kind)
         if score < best_score:
             best_score = score
             best_knots = candidate
-    return Partition(window=train_counts.window, knots=best_knots), traces
+    return Partition(window=window, knots=best_knots), traces
 
 
 def _outer_score(
@@ -585,7 +584,7 @@ def _select_gamma(train_counts: CountTable, fit_config: FitConfig, config: Searc
     best_gamma = GAMMA_GRID[0]
     best_rmse = math.inf
     for gamma in GAMMA_GRID:
-        sub = SearchConfig(**{**config.__dict__, "gamma": gamma, "trace_path": None})
+        sub = replace(config, gamma=gamma, trace_path=None)
         report = learn(None, fit_table, val_table, method="tikhonov", fit_config=fit_config, config=sub)
         if report.rmse_test is not None and report.rmse_test < best_rmse:
             best_rmse = report.rmse_test

@@ -18,7 +18,7 @@ SECONDS_PER_DAY = 86400.0
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Half-open observation window [start, end) in seconds-of-day."""
+    """Observation window in seconds-of-day; arrivals lie in [start, end)."""
 
     start: float
     end: float
@@ -34,6 +34,11 @@ class TimeWindow:
         return self.end - self.start
 
     def contains(self, t: np.ndarray) -> np.ndarray:
+        """Mask of times in [start, end], end included.
+
+        Arrivals lie in [start, end), but an evaluation probe may sit on the
+        end, which ``Partition.bin_index`` folds into the last bin.
+        """
         t = np.asarray(t, dtype=float)
         return (t >= self.start) & (t <= self.end)
 
@@ -55,6 +60,8 @@ class EventSeries:
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"day {i}: arrival array must be 1-D")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"day {i}: arrival times must be finite")
             if arr.size and (np.any(arr < self.window.start) or np.any(arr >= self.window.end)):
                 raise ValueError(f"day {i}: arrivals outside [{self.window.start}, {self.window.end})")
             if np.any(np.diff(arr) < 0):
@@ -93,6 +100,8 @@ class CountTable:
             raise ValueError(
                 f"counts must have shape (n_days, {expected}), got {counts.shape}"
             )
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts.astype(float))

@@ -5,15 +5,35 @@ to [-1, 1] (raw seconds-of-day cubed overflow float conditioning long
 before the fit is done).  Degree drops automatically when a bin holds too
 few distinct abscissae to support it, and an empty bin yields the zero
 polynomial.
+
+``fit_bin`` fits arbitrary points through ``Polynomial.fit``.
+``CellData.fit_interval`` is the fit the search engine uses, and it repeats
+``Polynomial.fit``'s floating-point operations one for one (the domain map
+``off + scl * x``, the Vandermonde rows, the column norms summed along the
+contiguous axis, ``lstsq`` with rcond ``N * eps``) instead of an algebraically
+equal shortcut.  The relaxed divider breaks near-ties between restarts by the
+last bits of the risk, so a fit that agrees to 1e-14 still changes which
+partition wins; only the same operations in the same order keep the
+experiment outputs byte-identical.  What the kernel saves is overhead: every cell has one row
+per day, so the Vandermonde matrix and the prediction are built on the
+cell midpoints and tiled over the days (elementwise, hence exact), and no
+``np.unique`` or ``Polynomial`` object is made.
+
+A ``CellData`` also remembers every fit it made.  ``learn`` builds one per
+call and passes it to every restart and to the final ``fit_partition``, so
+an interval is fitted once per ``learn`` call; the memo goes away with it.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountTable, Partition, RateModel, binned_risk
+from .core import CountTable, Partition, RateModel
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -73,15 +93,22 @@ def fit_bin(
 
 
 class CellData:
-    """Fit-ready view of a count table: sorted cell midpoints and per-day values."""
+    """Fit-ready view of a count table: sorted cell midpoints and per-day values.
+
+    Fits are remembered by ``(lo, hi, config)`` for the life of the view;
+    the returned coefficient arrays are read-only so no caller can alter a
+    remembered fit.
+    """
 
     def __init__(self, table: CountTable):
         if table.n_days == 0:
             raise ValueError("count table has no observed days")
+        self.table = table
         self.window = table.window
         self.midpoints = table.cell_midpoints()
-        self.values = table.counts
+        self.values = table.counts + 0.0  # polyutils._fit adds 0.0 too: -0.0 becomes 0.0
         self.n_days = table.n_days
+        self._fits: dict[tuple[float, float, FitConfig], tuple[np.ndarray, float, int]] = {}
 
     @property
     def total_points(self) -> int:
@@ -97,32 +124,76 @@ class CellData:
         return slice(i0, i1)
 
     def fit_interval(self, lo: float, hi: float, config: FitConfig) -> tuple[np.ndarray, float, int]:
-        """Fit one interval; returns (coefficients, mean squared residual, occupancy)."""
+        """Fit one interval; returns (coefficients, mean squared residual, occupancy).
+
+        Equal, bit for bit, to ``fit_bin`` on the interval's cells tiled over
+        the days, plus the mean squared residual of that fit.
+        """
+        key = (lo, hi, config)
+        fit = self._fits.get(key)
+        if fit is None:
+            fit = self._fits[key] = self._fit(float(lo), float(hi), config)
+        return fit
+
+    def _fit(self, lo: float, hi: float, config: FitConfig) -> tuple[np.ndarray, float, int]:
+        coef = np.zeros(config.degree + 1)
         sl = self.interval_slice(lo, hi)
         mids = self.midpoints[sl]
-        if mids.size == 0:
-            return np.zeros(config.degree + 1), 0.0, 0
+        n = mids.size
+        if n == 0:
+            coef.flags.writeable = False
+            return coef, 0.0, 0
+        n_days = self.n_days
+        m = n * n_days
         y = self.values[:, sl].ravel()
-        x = np.tile(mids, self.n_days)
-        coef = fit_bin(x, y, (lo, hi), config)
-        u = (2.0 * x - (lo + hi)) / (hi - lo)
-        resid = y - np.polynomial.polynomial.polyval(u, coef)
-        return coef, float(np.mean(resid * resid)), int(y.size)
+        # cell midpoints are distinct, so n is the count of distinct abscissae
+        eff = min(config.degree, n - 1)
+        if m < config.points_floor:
+            eff = min(eff, m - 1)
+        # Polynomial.fit -> polyutils._fit, on the midpoints, tiled over days
+        off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)  # polyutils.mapparms
+        x = off + scl * mids + 0.0
+        lhs = np.empty((eff + 1, n_days, n))
+        v = lhs[:, 0, :]
+        v[0] = x * 0 + 1
+        for i in range(1, eff + 1):
+            v[i] = v[i - 1] * x
+        lhs[:, 1:, :] = v[:, None, :]
+        lhs = lhs.reshape(eff + 1, m)
+        norms = np.sqrt(np.square(lhs).sum(1))
+        norms[norms == 0] = 1
+        c, _, rank, _ = np.linalg.lstsq(lhs.T / norms, y, m * _EPS)
+        if rank != eff + 1:
+            warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)
+        coef[: eff + 1] = c / norms
+        coef.flags.writeable = False
+        # polyval's Horner steps, on the midpoints
+        u = (2.0 * mids - (lo + hi)) / (hi - lo)
+        pred = coef[-1] + u * 0
+        for a in coef[-2::-1]:
+            pred = a + pred * u
+        resid = (y.reshape(n_days, n) - pred).ravel()
+        return coef, float(np.add.reduce(resid * resid) / m), m
 
 
 def fit_partition(
     table: CountTable,
     partition: Partition,
     config: FitConfig,
+    data: CellData | None = None,
 ) -> tuple[RateModel, np.ndarray, np.ndarray]:
     """Fit every bin of a partition against per-cell counts.
 
     Returns the assembled model plus per-bin risks R_k (training mean squared
-    residual, zero for empty bins) and occupancies m_k.
+    residual, zero for empty bins) and occupancies m_k.  ``data``, a view of
+    ``table``, lets the bins reuse fits it already holds.
     """
     if table.window != partition.window:
         raise ValueError("count table window does not match partition window")
-    data = CellData(table)
+    if data is None:
+        data = CellData(table)
+    elif data.table is not table:
+        raise ValueError("cell data is not a view of this count table")
     edges = partition.edges()
     coeffs = np.zeros((partition.n_bins, config.degree + 1))
     risks = np.zeros(partition.n_bins)
@@ -142,9 +213,3 @@ def evaluate(model: RateModel, table: CountTable) -> float:
     pred = model.evaluate(table.cell_midpoints())
     resid = table.counts - pred[None, :]
     return float(np.sqrt(np.mean(resid * resid)))
-
-
-def training_rmse(table: CountTable, partition: Partition, config: FitConfig) -> float:
-    """Convenience: fit and report sqrt of the occupancy-weighted training risk."""
-    _, risks, sizes = fit_partition(table, partition, config)
-    return float(np.sqrt(binned_risk(sizes, risks)))

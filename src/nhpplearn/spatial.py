@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def learn_per_area(
         if test_ids.size:
             test_series = _area_series(geo, labels, a, test_ids)
             test_table = CountTable.from_events(test_series, resolution)
-        area_config = SearchConfig(**{**config.__dict__, "seed": config.seed + a, "trace_path": None})
+        area_config = replace(config, seed=config.seed + a, trace_path=None)
         report = learn(
             train_series,
             train_table,

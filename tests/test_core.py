@@ -58,6 +58,13 @@ def test_event_series_rejects_matrix_day():
         EventSeries(DAY, (np.zeros((2, 2)),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_event_series_rejects_non_finite_arrivals(bad):
+    # NaN compares false against both window bounds, so only an explicit check catches it
+    with pytest.raises(ValueError, match="day 1: arrival times must be finite"):
+        EventSeries(DAY, (np.array([10.0]), np.array([100.0, bad, 300.0])))
+
+
 # --- count tables -------------------------------------------------------------
 
 def test_count_table_conserves_events():
@@ -82,6 +89,9 @@ def test_count_table_validates_inputs():
         CountTable(DAY, 0.0, np.zeros((1, 1)))
     with pytest.raises(ValueError, match="nonnegative"):
         CountTable(TimeWindow(0.0, 60.0), 60.0, np.array([[-1.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="counts must be finite"):
+            CountTable(TimeWindow(0.0, 120.0), 60.0, np.array([[1.0, bad]]))
 
 
 def test_count_table_oversized_resolution_gives_single_cell():

@@ -7,6 +7,7 @@ protocols live in the acceptance suite.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ def test_exp1_is_byte_reproducible(tmp_path):
 
 
 # --- experiment 2 -------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exp1_defaults_match_stored_reference(tmp_path, seed):
+    # full-size sweep; the relaxed divider breaks ties between restarts by the
+    # last bit of the risk, so any change in fit rounding shows up here
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep.json"
+    want = json.loads(reference.read_text())["seeds"][str(seed)]["exp1.csv"]
+    path = run_experiment_1(ExperimentConfig.exp1_defaults(seed=seed, out_dir=str(tmp_path)))
+    assert path.read_text() == want
+
 
 def test_exp2_schema_and_improvement_consistency(tmp_path):
     path = run_experiment_2(tiny_exp2(tmp_path))

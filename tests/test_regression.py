@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhpplearn import CountTable, EventSeries, FitConfig, Partition, TimeWindow, binned_risk, fit_bin, fit_partition
-from nhpplearn.regression import CellData, evaluate, training_rmse
+from nhpplearn.regression import CellData, evaluate
 
 
 def table_from_counts(counts, window=None, resolution=10.0):
@@ -101,6 +103,85 @@ def test_fit_interval_empty_is_zero():
     np.testing.assert_array_equal(coef, np.zeros(3))
 
 
+def _oracle_fit(table, lo, hi, config):
+    """The per-interval fit as plain ``fit_bin`` on the cells tiled over days."""
+    sl = CellData(table).interval_slice(lo, hi)
+    mids = table.cell_midpoints()[sl]
+    if mids.size == 0:
+        return np.zeros(config.degree + 1), 0.0, 0
+    x = np.tile(mids, table.n_days)
+    y = table.counts[:, sl].ravel()
+    coef = fit_bin(x, y, (lo, hi), config)
+    u = (2.0 * x - (lo + hi)) / (hi - lo)
+    resid = y - np.polynomial.polynomial.polyval(u, coef)
+    return coef, float(np.mean(resid * resid)), int(y.size)
+
+
+@st.composite
+def interval_fits(draw):
+    resolution = draw(st.sampled_from([60.0, 300.0, 1800.0]))
+    n_cells = draw(st.integers(1, 40))
+    ragged = draw(st.sampled_from([0.0, 0.3, 0.9])) * resolution
+    length = (n_cells - 1) * resolution + (ragged or resolution)
+    start = float(draw(st.integers(0, int(86400.0 - length))))
+    window = TimeWindow(start, start + length)
+    n_days = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.poisson(draw(st.sampled_from([0.5, 4.0, 40.0])), size=(n_days, n_cells))
+    table = CountTable(window, resolution, counts)
+    edges = table.cell_edges()
+    n = table.n_cells
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["empty", "one-cell", "window-end", "random"]))
+    if kind == "empty":  # from past cell i's midpoint to its right edge
+        lo, hi = 0.5 * (table.cell_midpoints()[i] + edges[i + 1]), edges[i + 1]
+    elif kind == "one-cell":
+        lo, hi = edges[i], edges[i + 1]
+    elif kind == "window-end":
+        lo, hi = edges[i], window.end
+    else:
+        a, b = sorted(draw(st.lists(st.floats(window.start, window.end), min_size=2, max_size=2, unique=True)))
+        lo, hi = a, b
+    degree = draw(st.integers(0, 4))
+    min_points = draw(st.one_of(st.none(), st.integers(degree + 1, degree + 12)))
+    return table, float(lo), float(hi), FitConfig(degree=degree, min_points=min_points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_fits())
+def test_fit_interval_is_bitwise_fit_bin(case):
+    table, lo, hi, config = case
+    coef, risk, m = CellData(table).fit_interval(lo, hi, config)
+    want_coef, want_risk, want_m = _oracle_fit(table, lo, hi, config)
+    assert np.array_equal(coef, want_coef)
+    assert risk == want_risk
+    assert m == want_m
+
+
+@settings(max_examples=50, deadline=None)
+@given(interval_fits())
+def test_fit_interval_memo_matches_fresh_and_is_read_only(case):
+    table, lo, hi, config = case
+    data = CellData(table)
+    first = data.fit_interval(lo, hi, config)
+    again = data.fit_interval(lo, hi, config)
+    fresh = CellData(table).fit_interval(lo, hi, config)
+    assert again is first
+    assert np.array_equal(again[0], fresh[0]) and again[1:] == fresh[1:]
+    assert not first[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0] = 1.0
+
+
+def test_fit_interval_memo_is_keyed_by_config():
+    table = table_from_counts(np.array([[1.0, 4.0, 9.0, 16.0]]))
+    data = CellData(table)
+    line = data.fit_interval(0.0, 40.0, FitConfig(degree=1))
+    quad = data.fit_interval(0.0, 40.0, FitConfig(degree=2))
+    assert line[0].size == 2 and quad[0].size == 3
+    assert quad[1] < line[1]
+
+
 def test_cell_data_requires_days():
     with pytest.raises(ValueError, match="no observed days"):
         CellData(CountTable(TimeWindow(0.0, 10.0), 10.0, np.zeros((0, 1))))
@@ -136,13 +217,28 @@ def test_training_risk_equals_unweighted_global_mse():
     pred = model.evaluate(table.cell_midpoints())
     direct = np.mean((counts - pred[None, :]) ** 2)
     np.testing.assert_allclose(weighted, direct, rtol=1e-12)
-    np.testing.assert_allclose(training_rmse(table, part, cfg), np.sqrt(direct), rtol=1e-12)
 
 
 def test_fit_partition_checks_window():
     table = table_from_counts(np.ones((1, 4)))
     with pytest.raises(ValueError, match="does not match"):
         fit_partition(table, Partition(TimeWindow(0.0, 50.0), ()), FitConfig())
+
+
+def test_fit_partition_reuses_fits_of_its_cell_data():
+    rng = np.random.default_rng(5)
+    table = table_from_counts(rng.poisson(6.0, size=(3, 24)).astype(float))
+    part = Partition(table.window, (60.0, 150.0))
+    data = CellData(table)
+    held = data.fit_interval(60.0, 150.0, FitConfig(degree=1))
+    model, risks, sizes = fit_partition(table, part, FitConfig(degree=1), data=data)
+    assert np.array_equal(model.coefficients[1], held[0]) and risks[1] == held[1]
+    fresh, fresh_risks, _ = fit_partition(table, part, FitConfig(degree=1))
+    assert np.array_equal(model.coefficients, fresh.coefficients)
+    assert np.array_equal(risks, fresh_risks)
+    other = table_from_counts(table.counts.copy())
+    with pytest.raises(ValueError, match="not a view of this count table"):
+        fit_partition(other, part, FitConfig(degree=1), data=data)
 
 
 def test_refinement_never_raises_training_risk():
