@@ -125,9 +125,6 @@ class SearchTrace:
     def best_partition(self) -> Partition:
         return Partition(window=self.window, knots=self.best_knots)
 
-    def accepted_risks(self) -> list[float]:
-        return [e.risk for e in self.entries if e.accepted and e.risk is not None]
-
 
 def equal_partition(window: TimeWindow, n_bins: int) -> Partition:
     """Equal-length partition with ``n_bins`` bins."""
@@ -255,20 +252,22 @@ class _SearchEngine:
         self.knots.append(p)
 
     def _day_slices(self, lo: float, hi: float) -> list[np.ndarray]:
-        out = []
-        for arr in self.events:
-            i0 = np.searchsorted(arr, lo, side="left")
-            i1 = np.searchsorted(arr, hi, side="left")
-            out.append(arr[i0:i1])
-        return out
+        """Each day's arrivals in [lo, hi), as views of the sorted day arrays."""
+        return [arr[arr.searchsorted(lo) : arr.searchsorted(hi)] for arr in self.events]
 
-    def _test_halves(self, lo: float, hi: float, p: float) -> tuple[MultiDayOutcome, MultiDayOutcome]:
+    def _test_halves(
+        self, days: list[np.ndarray], lo: float, hi: float, p: float
+    ) -> tuple[MultiDayOutcome, MultiDayOutcome]:
+        """Test [lo, p) and [p, hi), given ``days`` = ``_day_slices(lo, hi)``."""
         cfg = self.config
+        cuts = [arr.searchsorted(p) for arr in days]
         left = poisson_test_days(
-            self._day_slices(lo, p), lo, p, cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction
+            [arr[:c] for arr, c in zip(days, cuts)], lo, p,
+            cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction,
         )
         right = poisson_test_days(
-            self._day_slices(p, hi), p, hi, cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction
+            [arr[c:] for arr, c in zip(days, cuts)], p, hi,
+            cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction,
         )
         return left, right
 
@@ -315,10 +314,11 @@ class _SearchEngine:
             self._consider_best()
             return (lo, p), (p, hi)
 
+        days = self._day_slices(lo, hi)
         attempts = 0
         while True:
             p = self._sample_point(lo, hi)
-            left, right = self._test_halves(lo, hi, p)
+            left, right = self._test_halves(days, lo, hi, p)
             if left.passed and right.passed:
                 # both halves look homogeneous; spend a retry hunting for
                 # a split point that still exposes structure

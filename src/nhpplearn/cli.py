@@ -88,7 +88,7 @@ def test_poisson(input_path, epsilon, method, mode, lo, hi):
     series = load_events(input_path)
     lo = series.window.start if lo is None else lo
     hi = series.window.end if hi is None else hi
-    slices = [arr[(arr >= lo) & (arr < hi)] for arr in series.days]
+    slices = [arr[arr.searchsorted(lo) : arr.searchsorted(hi)] for arr in series.days]
     outcome = poisson_test_days(slices, lo, hi, epsilon, method, mode)
     click.echo(
         f"interval [{lo:g}, {hi:g})  days={outcome.n_days}  passed_days={outcome.n_passed}  "
@@ -216,11 +216,16 @@ def exp3(config_path, geo_path, seed, out_dir, clusters, days_train, days_test):
 @main.command("eval")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--resolution", type=float, default=300.0, show_default=True)
+@click.option(
+    "--resolution", type=float, default=None,
+    help="Cell length in seconds [default: the model's, else 300].",
+)
 @_fail_on_value_error
 def eval_cmd(model_path, input_path, resolution):
     """Score a saved model against an event file (RMSE on cell counts)."""
     model = load_model(model_path)
+    if resolution is None:
+        resolution = 300.0 if model.resolution is None else model.resolution
     series = load_events(input_path, window=model.partition.window)
     table = CountTable.from_events(series, resolution)
     rmse = evaluate_model(model, table)

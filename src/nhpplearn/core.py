@@ -8,8 +8,8 @@ exact hit on the window end so every in-window time has a bin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -185,33 +185,25 @@ def assign_bins(times: np.ndarray, partition: Partition) -> tuple[np.ndarray, np
     return idx, sizes
 
 
-def assign_series(series: EventSeries, partition: Partition) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-day bin assignment; windows must match exactly."""
-    if series.window != partition.window:
-        raise ValueError("EventSeries window does not match partition window")
-    per_day = []
-    total = np.zeros(partition.n_bins, dtype=int)
-    for arr in series.days:
-        idx, sizes = assign_bins(arr, partition)
-        per_day.append(idx)
-        total += sizes
-    return per_day, total
-
-
 @dataclass(frozen=True)
 class RateModel:
     """Piecewise-polynomial rate: one degree-d polynomial per partition bin.
 
     Coefficients are stored in ascending powers of the bin-local coordinate
     u = (2t - (lo + hi)) / (hi - lo), which maps each bin onto [-1, 1].
-    ``clamp`` floors predictions at zero during evaluation.
+    ``clamp`` floors predictions at zero during evaluation.  ``resolution``
+    is the cell length, in seconds, of the counts the model was fitted to:
+    rates are counts per cell of that length.  ``None`` means unknown.
     """
 
     partition: Partition
     coefficients: np.ndarray
     clamp: bool = True
+    resolution: float | None = None
 
     def __post_init__(self) -> None:
+        if self.resolution is not None and not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be a positive number of seconds, got {self.resolution}")
         coef = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
         if coef.shape[0] != self.partition.n_bins:
             raise ValueError(
@@ -291,9 +283,6 @@ class FitReport:
 # ---------------------------------------------------------------------------
 # Risk functionals
 # ---------------------------------------------------------------------------
-
-RateLike = "RateModel | Callable[[np.ndarray], np.ndarray]"
-
 
 def _rate_values(model, times: np.ndarray) -> np.ndarray:
     if isinstance(model, RateModel):

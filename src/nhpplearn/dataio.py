@@ -2,14 +2,17 @@
 
 Event files carry a ``day,seconds`` header (``day,seconds,lon,lat`` for the
 geographic variant); day identifiers are mapped to dense indices in sorted
-order on load.  Model files serialize the partition and per-bin scaled
-coefficients; floats round-trip exactly through JSON.
+order on load.  Model files serialize the partition, per-bin scaled
+coefficients and the cell resolution the rates are counted in; floats
+round-trip exactly through JSON.  A model file without ``resolution`` (one
+written before the field existed) loads with the resolution unknown.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +103,10 @@ def save_geo_events(geo: GeoEventSeries, path: str | Path) -> None:
 
 
 def save_model(model: RateModel, path: str | Path) -> None:
-    """Serialize a rate model; coefficients are bin-local [-1, 1] ascending powers."""
+    """Serialize a rate model; coefficients are bin-local [-1, 1] ascending powers.
+
+    ``resolution`` is written when the model knows it.
+    """
     payload = {
         "window": {"start": model.partition.window.start, "end": model.partition.window.end},
         "knots": list(model.partition.knots),
@@ -108,6 +114,8 @@ def save_model(model: RateModel, path: str | Path) -> None:
         "coefficients": [list(row) for row in model.coefficients],
         "clamp": bool(model.clamp),
     }
+    if model.resolution is not None:
+        payload["resolution"] = float(model.resolution)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -146,4 +154,14 @@ def load_model(path: str | Path) -> RateModel:
     clamp = payload["clamp"]
     if not isinstance(clamp, bool):
         raise ValueError(f"{path}: field 'clamp' must be a boolean")
-    return RateModel(partition=partition, coefficients=np.asarray(coeffs, dtype=float), clamp=clamp)
+    resolution = payload.get("resolution")
+    if resolution is not None and (
+        isinstance(resolution, bool)
+        or not isinstance(resolution, (int, float))
+        or not (math.isfinite(resolution) and resolution > 0)
+    ):
+        raise ValueError(f"{path}: field 'resolution' must be a positive number of seconds")
+    return RateModel(
+        partition=partition, coefficients=np.asarray(coeffs, dtype=float), clamp=clamp,
+        resolution=None if resolution is None else float(resolution),
+    )

@@ -200,16 +200,27 @@ def fit_partition(
     sizes = np.zeros(partition.n_bins, dtype=int)
     for k in range(partition.n_bins):
         coeffs[k], risks[k], sizes[k] = data.fit_interval(edges[k], edges[k + 1], config)
-    model = RateModel(partition=partition, coefficients=coeffs, clamp=config.clamp)
+    model = RateModel(
+        partition=partition, coefficients=coeffs, clamp=config.clamp, resolution=table.resolution
+    )
     return model, risks, sizes
 
 
 def evaluate(model: RateModel, table: CountTable) -> float:
-    """Root mean squared error of a model against a count table's cells."""
+    """Root mean squared error of a model against a count table's cells.
+
+    A model that records its resolution is scored only on counts of that
+    resolution: its rates are counts per cell of that length.
+    """
     if table.n_days == 0:
         raise ValueError("cannot evaluate against a table with no days")
     if table.window != model.partition.window:
         raise ValueError("count table window does not match the model window")
+    if model.resolution is not None and model.resolution != table.resolution:
+        raise ValueError(
+            f"model was learned on {model.resolution:g} s cells but the count table has "
+            f"{table.resolution:g} s cells"
+        )
     pred = model.evaluate(table.cell_midpoints())
     resid = table.counts - pred[None, :]
     return float(np.sqrt(np.mean(resid * resid)))

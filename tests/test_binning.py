@@ -20,10 +20,11 @@ from nhpplearn import (
     fit_partition,
     ivanov_divide,
     learn,
+    poisson_test_days,
     relaxed_divide,
     tikhonov_divide,
 )
-from nhpplearn.binning import GAMMA_GRID, parse_method
+from nhpplearn.binning import GAMMA_GRID, _SearchEngine, parse_method
 from nhpplearn.regression import CellData
 
 W = TimeWindow(0.0, 86400.0)
@@ -153,6 +154,25 @@ def test_ivanov_homogeneous_data_stays_coarse():
     # with a forgiving pass bar, uniform arrivals rarely fail a probe, so the
     # retry budget runs out near the root
     assert trace.best_partition().n_bins <= 6
+
+
+def test_probe_halves_equal_tests_of_masked_days():
+    # the engine slices each day once per interval and then searches only for
+    # the probe point; the halves must be exactly the masked arrivals
+    series = steep_series(n_days=4, per_day=400, seed=9)
+    counts = CountTable.from_events(series, 300.0)
+    engine = _SearchEngine(
+        CellData(counts), list(series.days), W, "ivanov", FitConfig(), SearchConfig(),
+        np.random.default_rng(0),
+    )
+    t = series.days[1]
+    for lo, hi in ((0.0, 86400.0), (3600.0, 7200.0), (t[10], t[300])):
+        days = engine._day_slices(lo, hi)
+        inside = t[(t > lo) & (t < hi)]
+        for p in (0.5 * (lo + hi), inside[inside.size // 2], float(np.nextafter(lo, hi))):
+            left, right = engine._test_halves(days, lo, hi, p)
+            assert left == poisson_test_days([a[(a >= lo) & (a < p)] for a in series.days], lo, p)
+            assert right == poisson_test_days([a[(a >= p) & (a < hi)] for a in series.days], p, hi)
 
 
 # --- bookkeeping and budgets --------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from nhpplearn.cli import main
-from nhpplearn import load_model
+from nhpplearn import load_events, load_model, poisson_test_days
 
 
 @pytest.fixture()
@@ -66,6 +66,46 @@ def test_simulate_then_learn_then_eval(runner, tmp_path):
     assert rmse == pytest.approx(report["rmse_test"], rel=1e-4)
 
 
+def test_eval_scores_at_the_model_resolution(runner, tmp_path):
+    simulate_small(runner, tmp_path)
+    result = run_ok(runner, [
+        "learn", "--input", str(tmp_path / "train.csv"),
+        "--test-input", str(tmp_path / "test.csv"),
+        "--method", "equal:4", "--degree", "1", "--resolution", "60",
+        "--out-dir", str(tmp_path / "fit"),
+    ])
+    report = json.loads((tmp_path / "fit" / "report.json").read_text())
+    model_path = str(tmp_path / "fit" / "model.json")
+    assert load_model(model_path).resolution == 60.0
+
+    # no --resolution: the model's 60 s cells, reproducing the learn-time RMSE
+    result = run_ok(runner, ["eval", "--model", model_path, "--input", str(tmp_path / "test.csv")])
+    assert "cells=1440" in result.output
+    rmse = float(result.output.split()[0].split("=")[1])
+    assert rmse == pytest.approx(report["rmse_test"], rel=1e-4)
+
+    # the old 300 s default would compare per-minute rates with 5-minute counts
+    result = runner.invoke(main, [
+        "eval", "--model", model_path, "--input", str(tmp_path / "test.csv"), "--resolution", "300",
+    ])
+    assert result.exit_code != 0
+    assert "learned on 60 s cells" in result.output and "300 s cells" in result.output
+
+
+def test_eval_without_model_resolution_defaults_to_300(runner, tmp_path):
+    simulate_small(runner, tmp_path)
+    run_ok(runner, [
+        "learn", "--input", str(tmp_path / "train.csv"),
+        "--method", "equal:4", "--degree", "1", "--out-dir", str(tmp_path / "fit"),
+    ])
+    model_path = tmp_path / "fit" / "model.json"
+    payload = json.loads(model_path.read_text())
+    del payload["resolution"]  # a model file from before the field existed
+    model_path.write_text(json.dumps(payload))
+    result = run_ok(runner, ["eval", "--model", str(model_path), "--input", str(tmp_path / "test.csv")])
+    assert "cells=288" in result.output
+
+
 def test_learn_adaptive_method_runs(runner, tmp_path):
     simulate_small(runner, tmp_path)
     result = run_ok(runner, [
@@ -88,6 +128,12 @@ def test_test_poisson_verdicts(runner, tmp_path):
     ])
     assert "verdict:" in result.output
     assert "days=3" in result.output
+    # the same verdict as testing masked copies of each day's arrivals
+    series = load_events(tmp_path / "train.csv")
+    masked = [arr[(arr >= 36000.0) & (arr < 39600.0)] for arr in series.days]
+    want = poisson_test_days(masked, 36000.0, 39600.0)
+    assert f"passed_days={want.n_passed} " in result.output
+    assert f"verdict: {'PASS' if want.passed else 'FAIL'}" in result.output
 
 
 def test_exp1_cli_writes_csv(runner, tmp_path):

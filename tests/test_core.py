@@ -22,7 +22,6 @@ from nhpplearn import (
     penalized_risk,
     vc_bound_xi,
 )
-from nhpplearn.core import assign_series
 
 DAY = TimeWindow(0.0, 86400.0)
 
@@ -152,12 +151,6 @@ def test_assign_bins_counts_every_event_once():
     np.testing.assert_array_equal(idx, [0, 1, 1])
     np.testing.assert_array_equal(sizes, [1, 2])
     assert sizes.sum() == len(times)
-
-
-def test_assign_series_requires_matching_window():
-    s = EventSeries(TimeWindow(0.0, 100.0), (np.array([1.0]),))
-    with pytest.raises(ValueError, match="window does not match"):
-        assign_series(s, Partition(DAY, ()))
 
 
 # --- rate models --------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,32 @@ def test_model_file_is_plain_json(tmp_path):
     assert set(payload) == {"window", "knots", "degree", "coefficients", "clamp"}
     assert payload["degree"] == 1
     assert len(payload["coefficients"]) == 3
+
+
+def test_model_resolution_round_trips(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(replace(make_model(), resolution=60.0), path)
+    assert json.loads(path.read_text())["resolution"] == 60.0
+    assert load_model(path).resolution == 60.0
+
+
+def test_model_file_without_resolution_still_loads(tmp_path):
+    # files written before the field existed carry no resolution
+    path = tmp_path / "model.json"
+    save_model(make_model(), path)
+    assert "resolution" not in json.loads(path.read_text())
+    assert load_model(path).resolution is None
+
+
+@pytest.mark.parametrize("value", [0, -60.0, "60", True])
+def test_model_bad_resolution_named(tmp_path, value):
+    path = tmp_path / "model.json"
+    save_model(make_model(), path)
+    payload = json.loads(path.read_text())
+    payload["resolution"] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="field 'resolution' must be a positive number"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("field", ["window", "knots", "degree", "coefficients", "clamp"])

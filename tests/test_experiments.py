@@ -24,6 +24,8 @@ from nhpplearn.experiments import (
 )
 from nhpplearn import load_model
 
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
 
 def tiny_exp1(out_dir, seed=0):
     return ExperimentConfig.exp1_defaults(
@@ -74,6 +76,12 @@ def test_exp2_defaults_follow_comparison_protocol():
     assert cfg.max_bins == 7
 
 
+def stored_reference(workload: str, seed: int) -> dict[str, str]:
+    """Outputs recorded for one instance seed of a benchmark workload (opened read-only)."""
+    with open(REFERENCE_DIR / f"{workload}.json") as fh:
+        return json.load(fh)["seeds"][str(seed)]
+
+
 # --- experiment 1 -------------------------------------------------------------
 
 def test_exp1_schema_and_shape(tmp_path):
@@ -99,15 +107,22 @@ def test_exp1_is_byte_reproducible(tmp_path):
     assert a != c
 
 
-# --- experiment 2 -------------------------------------------------------------
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exp1_defaults_match_stored_reference(tmp_path, seed):
     # full-size sweep; the relaxed divider breaks ties between restarts by the
     # last bit of the risk, so any change in fit rounding shows up here
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sweep.json"
-    want = json.loads(reference.read_text())["seeds"][str(seed)]["exp1.csv"]
+    want = stored_reference("sweep", seed)["exp1.csv"]
     path = run_experiment_1(ExperimentConfig.exp1_defaults(seed=seed, out_dir=str(tmp_path)))
+    assert path.read_text() == want
+
+
+# --- experiment 2 -------------------------------------------------------------
+
+def test_exp2_defaults_match_stored_reference(tmp_path):
+    # full-size comparison: any change in a homogeneity verdict moves the
+    # ivanov partition, and with it the dbm_ivanov row
+    want = stored_reference("compare", 0)["exp2.csv"]
+    path = run_experiment_2(ExperimentConfig.exp2_defaults(seed=0, out_dir=str(tmp_path)))
     assert path.read_text() == want
 
 
@@ -171,6 +186,19 @@ def test_exp3_outputs(tmp_path):
     # per-row event counts in the CSV match the index
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert counts == index["events_per_area"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exp3_defaults_match_stored_reference(tmp_path, seed):
+    # 20 small ivanov searches per seed, built as the areas benchmark builds them
+    want = stored_reference("areas", seed)
+    cfg = ExperimentConfig.exp3_defaults(seed=seed, out_dir=str(tmp_path))
+    geo = make_synthetic_geo(
+        seed=cfg.seed, n_days=cfg.n_train_days + cfg.n_test_days, k_centers=cfg.clusters
+    )
+    summary = run_experiment_3(cfg, geo=geo)
+    assert summary.read_text() == want["exp3_summary.csv"]
+    assert (summary.parent / "index.json").read_text() == want["index.json"]
 
 
 def test_exp3_requires_geo_source(tmp_path):

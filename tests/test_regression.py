@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhpplearn import CountTable, EventSeries, FitConfig, Partition, TimeWindow, binned_risk, fit_bin, fit_partition
+from nhpplearn import (
+    CountTable,
+    EventSeries,
+    FitConfig,
+    Partition,
+    RateModel,
+    TimeWindow,
+    binned_risk,
+    fit_bin,
+    fit_partition,
+)
 from nhpplearn.regression import CellData, evaluate
 
 
@@ -282,3 +293,27 @@ def test_evaluate_is_rmse_over_cells():
     model, _, _ = fit_partition(table, part, FitConfig(degree=0))
     # constant fit at the grand mean 4; residuals (-2, 0, 0, 2)
     assert math.isclose(evaluate(model, table), math.sqrt(2.0), rel_tol=1e-12)
+
+
+def test_evaluate_rejects_counts_at_another_resolution():
+    # a model learned on 60 s cells predicts counts per minute; scoring it on
+    # 300 s cells compared per-minute rates with five-minute counts
+    rng = np.random.default_rng(7)
+    window = TimeWindow(0.0, 3600.0)
+    days = tuple(np.sort(rng.uniform(0.0, 3600.0, size=400)) for _ in range(3))
+    series = EventSeries(window, days)
+    fine = CountTable.from_events(series, 60.0)
+    coarse = CountTable.from_events(series, 300.0)
+    model, _, _ = fit_partition(fine, Partition(window, (1800.0,)), FitConfig(degree=1))
+    assert model.resolution == 60.0
+    assert math.isfinite(evaluate(model, fine))
+    with pytest.raises(ValueError, match="learned on 60 s cells .* has 300 s cells"):
+        evaluate(model, coarse)
+
+
+def test_evaluate_accepts_any_resolution_when_the_model_has_none():
+    table = table_from_counts([[2.0, 4.0], [4.0, 6.0]])
+    model, _, _ = fit_partition(table, Partition(table.window, ()), FitConfig(degree=0))
+    unknown = RateModel(model.partition, model.coefficients, model.clamp)
+    coarse = CountTable(table.window, 20.0, [[6.0], [10.0]])
+    assert evaluate(unknown, coarse) == evaluate(replace(model, resolution=20.0), coarse)

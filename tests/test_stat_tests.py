@@ -1,4 +1,4 @@
-"""Homogeneity tests: statistics against brute-force and scipy oracles."""
+"""Homogeneity tests: statistics against brute-force, scipy and loop oracles."""
 
 from __future__ import annotations
 
@@ -7,9 +7,106 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhpplearn import ks_critical, ks_statistic, log_test, poisson_property_test, poisson_test_days
+from nhpplearn.stat_tests import TestOutcome as Outcome
 from nhpplearn.stat_tests import uniform_ks_test
+
+
+# --- the straightforward per-day code, kept as the oracle ---------------------
+# The library computes the same statistics with fewer passes (no re-sort of
+# sorted input, one log per arrival, no abs temporaries); these are the plain
+# versions it must equal bit for bit.
+
+def oracle_ks_statistic(samples, cdf):
+    x = np.sort(np.asarray(samples, dtype=float))
+    m = x.size
+    if m == 0:
+        raise ValueError("KS statistic of an empty sample is undefined")
+    f = np.asarray(cdf(x), dtype=float)
+    i = np.arange(1, m + 1, dtype=float)
+    upper = np.abs(f - i / m)
+    lower = np.abs(f - (i - 1.0) / m)
+    return float(np.max(np.maximum(upper, lower)))
+
+
+def _oracle_validate(arrivals, lo, hi):
+    if not lo < hi:
+        raise ValueError("interval must satisfy lo < hi")
+    arr = np.sort(np.asarray(arrivals, dtype=float))
+    if arr.size and (arr[0] < lo or arr[-1] >= hi):
+        raise ValueError(f"arrivals must lie in [{lo}, {hi})")
+    return arr
+
+
+def oracle_log_test(arrivals, lo, hi, epsilon=0.05):
+    arr = _oracle_validate(np.asarray(arrivals), lo, hi)
+    m = arr.size
+    if m == 0:
+        return Outcome(0.0, math.inf, 0, epsilon, True, "log")
+    span = hi - lo
+    offsets = arr - lo
+    prev = np.concatenate(([0.0], offsets[:-1]))
+    weights = np.arange(m, 0, -1, dtype=float)
+    x = weights * (np.log(span - prev) - np.log(span - offsets))
+    stat = oracle_ks_statistic(x, lambda v: 1.0 - np.exp(-v))
+    crit = ks_critical(m, epsilon)
+    return Outcome(stat, crit, m, epsilon, bool(stat <= crit or m <= 1), "log")
+
+
+def oracle_uniform_ks_test(arrivals, lo, hi, epsilon=0.05):
+    arr = _oracle_validate(np.asarray(arrivals), lo, hi)
+    m = arr.size
+    if m == 0:
+        return Outcome(0.0, math.inf, 0, epsilon, True, "ks-uniform")
+    span = hi - lo
+    stat = oracle_ks_statistic(arr, lambda t: (t - lo) / span)
+    crit = ks_critical(m, epsilon)
+    return Outcome(stat, crit, m, epsilon, bool(stat <= crit or m <= 1), "ks-uniform")
+
+
+ORACLES = {"log": (log_test, oracle_log_test), "ks-uniform": (uniform_ks_test, oracle_uniform_ks_test)}
+
+
+def assert_same_outcome(got, want):
+    # ``==`` on every field; a NaN statistic (two arrivals whose offsets both
+    # round to the span) must be NaN on both sides
+    got, want = got.to_dict(), want.to_dict()
+    if math.isnan(want["statistic"]):
+        assert math.isnan(got.pop("statistic"))
+        del want["statistic"]
+    assert got == want
+
+
+SPANS = (1e-9, 1e-3, 1.0, 300.0, 3600.0, 86400.0)
+EPSILONS = (1e-3, 0.01, 0.05, 0.1, 0.25, 0.9)
+
+
+@st.composite
+def intervals(draw):
+    """[lo, hi) with tiny to full-day spans inside the day."""
+    span = draw(st.sampled_from(SPANS) | st.floats(1e-6, 86400.0))
+    lo = draw(st.sampled_from((0.0, 1e-3)) | st.floats(0.0, 86400.0 - span))
+    hi = lo + span
+    if not lo < hi:
+        hi = float(np.nextafter(lo, np.inf))
+    return lo, hi
+
+
+@st.composite
+def arrivals_in(draw, lo, hi, max_size=60):
+    """Arrivals in [lo, hi): ties, both ends, sorted or not."""
+    below_hi = float(np.nextafter(hi, -np.inf))
+    fractions = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=max_size))
+    times = [min(lo + u * (hi - lo), below_hi) for u in fractions]
+    times += draw(st.lists(st.sampled_from((lo, below_hi)), max_size=3))
+    if times:
+        times += [times[0]] * draw(st.integers(0, 3))  # tied arrivals
+    if draw(st.booleans()):
+        times.sort()
+    return [t for t in times if lo <= t < hi]
 
 
 def ks_brute(samples, cdf):
@@ -39,6 +136,23 @@ def test_ks_statistic_matches_scipy():
     ours = ks_statistic(xs, lambda v: np.asarray(v))
     ref = scipy.stats.kstest(xs, "uniform").statistic
     assert math.isclose(ours, ref, rel_tol=1e-12)
+
+
+CDFS = {
+    "exponential": lambda v: 1.0 - np.exp(-v),
+    "uniform": lambda v: (v - 2.0) / 5.0,
+    "identity": lambda v: v,  # returns the sorted samples themselves
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=80),
+    cdf=st.sampled_from(sorted(CDFS)),
+)
+def test_ks_statistic_equals_oracle(xs, cdf):
+    xs = xs + xs[: len(xs) // 3]  # ties
+    assert ks_statistic(xs, CDFS[cdf]) == oracle_ks_statistic(xs, CDFS[cdf])
 
 
 def test_ks_statistic_rejects_empty():
@@ -89,6 +203,40 @@ def test_log_test_empty_and_singleton_pass():
     single = log_test([9.99], 0.0, 10.0)
     assert single.passed and single.n == 1
     assert np.isfinite(single.statistic)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), method=st.sampled_from(sorted(ORACLES)), epsilon=st.sampled_from(EPSILONS))
+def test_day_test_equals_oracle(data, method, epsilon):
+    lo, hi = data.draw(intervals())
+    times = data.draw(arrivals_in(lo, hi))
+    fast, oracle = ORACLES[method]
+    want = oracle(times, lo, hi, epsilon)
+    assert_same_outcome(fast(times, lo, hi, epsilon), want)
+    assert_same_outcome(fast(np.asarray(times), lo, hi, epsilon), want)
+
+
+@pytest.mark.parametrize("method", sorted(ORACLES))
+@pytest.mark.parametrize(
+    "times",
+    [[], [0.0], [float(np.nextafter(10.0, 0.0))], [3.0, 3.0], [7.0, 2.0], [0.0, float(np.nextafter(10.0, 0.0))]],
+    ids=["m0", "m1-lo", "m1-below-hi", "m2-tie", "m2-unsorted", "m2-ends"],
+)
+@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.5])
+def test_small_samples_equal_oracle(method, times, epsilon):
+    fast, oracle = ORACLES[method]
+    assert_same_outcome(fast(times, 0.0, 10.0, epsilon), oracle(times, 0.0, 10.0, epsilon))
+
+
+@pytest.mark.parametrize("method", sorted(ORACLES))
+def test_day_sized_samples_equal_oracle(method):
+    # engine-sized days, a few thousand arrivals, over many vector blocks
+    rng = np.random.default_rng(43)
+    fast, oracle = ORACLES[method]
+    for size, lo, hi in ((500, 0.0, 86400.0), (1800, 25200.0, 30600.0), (4000, 3.7, 86400.0)):
+        times = rng.uniform(lo, hi, size)
+        for arr in (times, np.sort(times)):
+            assert_same_outcome(fast(arr, lo, hi), oracle(arr, lo, hi))
 
 
 def test_interval_validation():
@@ -172,6 +320,44 @@ def test_pooled_mode_equals_single_merged_test():
     assert pooled.n_days == 4
     with pytest.raises(ValueError, match="unknown aggregation mode"):
         poisson_test_days(days, 0.0, 20.0, mode="daily")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n_days=st.integers(0, 6),
+    method=st.sampled_from(sorted(ORACLES)),
+    epsilon=st.sampled_from(EPSILONS),
+    min_pass_fraction=st.sampled_from((None, 0.0, 0.5, 1.0)),
+)
+def test_poisson_test_days_equals_oracle_loop(data, n_days, method, epsilon, min_pass_fraction):
+    lo, hi = data.draw(intervals())
+    days = [np.asarray(data.draw(arrivals_in(lo, hi, max_size=30)), dtype=float) for _ in range(n_days)]
+    oracle = ORACLES[method][1]
+
+    out = poisson_test_days(days, lo, hi, epsilon, method, "per-day", min_pass_fraction)
+    n_passed = sum(oracle(d, lo, hi, epsilon).passed for d in days)
+    threshold = 1.0 - 2.0 * epsilon if min_pass_fraction is None else min_pass_fraction
+    frac = 1.0 if n_days == 0 else n_passed / n_days
+    assert (out.n_days, out.n_passed) == (n_days, n_passed)
+    assert out.passed == (frac >= threshold - 1e-12)
+
+    pooled = poisson_test_days(days, lo, hi, epsilon, method, "pooled")
+    merged = oracle(np.concatenate(days) if days else [], lo, hi, epsilon)
+    assert pooled.passed == merged.passed
+    assert pooled.n_passed == (n_days if merged.passed else 0)
+
+
+def test_poisson_test_days_validation():
+    with pytest.raises(ValueError, match="lo < hi"):
+        poisson_test_days([np.array([1.0])], 5.0, 5.0)
+    with pytest.raises(ValueError, match="must lie in"):
+        poisson_test_days([np.array([1.0, 10.0])], 0.0, 10.0)
+    with pytest.raises(ValueError, match="must lie in"):
+        poisson_test_days([np.array([1.0]), np.array([10.0])], 0.0, 10.0, mode="pooled")
+    # the method is checked where it enters, before any day is looked at
+    with pytest.raises(ValueError, match="unknown test method 'ad'"):
+        poisson_test_days([], 0.0, 10.0, method="ad")
 
 
 def test_zero_days_pass_vacuously():
