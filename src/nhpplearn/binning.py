@@ -39,7 +39,7 @@ from .core import (
     penalized_risk,
 )
 from .regression import CellData, FitConfig, evaluate, fit_partition
-from .stat_tests import MultiDayOutcome, poisson_test_days
+from .stat_tests import MultiDayOutcome, check_test_settings, poisson_test_days
 
 _SEARCH_DOMAIN = 1  # substream namespace, disjoint from simulation
 
@@ -75,6 +75,7 @@ class SearchConfig:
             raise ValueError("gamma must be nonnegative")
         if self.eta_seconds is not None and self.eta_seconds <= 0:
             raise ValueError("eta_seconds must be positive")
+        check_test_settings(self.test_method, self.test_mode)
 
 
 @dataclass(frozen=True)

@@ -216,15 +216,20 @@ class RateModel:
         return int(self.coefficients.shape[1] - 1)
 
     def evaluate(self, t: np.ndarray | float) -> np.ndarray:
-        """Rate at times ``t`` (same units as the fitted counts)."""
+        """Rate at times ``t`` (same units as the fitted counts).
+
+        All points at once, each through the operations ``polyval`` applies
+        to its bin's coefficients, so every value is bit for bit polyval's.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         idx = self.partition.bin_index(t)
         edges = self.partition.edges()
-        out = np.empty_like(t)
-        for k in np.unique(idx):
-            lo, hi = edges[k], edges[k + 1]
-            u = (2.0 * t[idx == k] - (lo + hi)) / (hi - lo)
-            out[idx == k] = np.polynomial.polynomial.polyval(u, self.coefficients[k])
+        lo, hi = edges[idx], edges[idx + 1]
+        u = (2.0 * t - (lo + hi)) / (hi - lo)
+        coef = self.coefficients
+        out = coef[idx, -1] + u * 0
+        for j in range(coef.shape[1] - 2, -1, -1):
+            out = coef[idx, j] + out * u
         if self.clamp:
             out = np.maximum(out, 0.0)
         return out

@@ -6,6 +6,20 @@ order on load.  Model files serialize the partition, per-bin scaled
 coefficients and the cell resolution the rates are counted in; floats
 round-trip exactly through JSON.  A model file without ``resolution`` (one
 written before the field existed) loads with the resolution unknown.
+
+An event file is read whole: one ``np.loadtxt`` call parses the body and the
+window check runs on the whole array.  The row parser (``_read_rows`` plus
+``_parse_event_rows``) stays, and runs whenever that bulk parse raises, finds
+no rows or fails a check.  It is kept for three reasons:
+
+* it alone words a row error, so messages still read ``path: line N: ...``;
+* it accepts inputs that Python's ``int``/``float`` accept but numpy's
+  stricter grammar refuses (whitespace-only lines, ``1_000``, non-ASCII
+  digits, day ids beyond int64), so no file changes fate;
+* it is the oracle the bulk path is tested against.
+
+Writers produce ``csv.writer``'s bytes (``\\r\\n`` line ends; no field ever
+needs quoting), one joined string per day instead of one call per row.
 """
 
 from __future__ import annotations
@@ -13,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +38,13 @@ from .spatial import GeoEventSeries
 EVENT_HEADER = ["day", "seconds"]
 GEO_HEADER = ["day", "seconds", "lon", "lat"]
 
+# numpy strips these ASCII separators as whitespace around a number, while
+# Python's int/float refuse them in an all-ASCII field.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
 
 def _read_rows(path: str | Path, header: list[str]) -> list[list[str]]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows:
@@ -59,47 +78,114 @@ def _parse_event_rows(
     return parsed
 
 
+def _bulk_readable(path: str | Path) -> bool:
+    """Check that the file is UTF-8, naming the line that is not.
+
+    False when numpy might accept what the row parser refuses: an ASCII
+    separator (numpy strips it as whitespace), or a field longer than csv's
+    field size limit (numpy has none), possible only on a long line or
+    inside quotes.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ValueError(
+                f"{path}: line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x} at offset {exc.start})"
+            ) from None
+    if any(sep in raw for sep in _SEPARATORS):
+        return False
+    limit = csv.field_size_limit()
+    if len(raw) <= limit:
+        return True
+    if b'"' in raw:
+        return False
+    # a line over the limit spans a whole aligned block of limit // 2 bytes
+    # with no \n in it (a lone \r only shortens lines)
+    block = limit // 2
+    return all(raw.find(b"\n", i, i + block) >= 0 for i in range(0, len(raw) - block + 1, block))
+
+
+def _parse_bulk(path: str | Path, header: list[str], window: TimeWindow) -> np.ndarray | None:
+    """All body rows as one structured array, or None to defer to the row parser."""
+    dtype = [("day", np.int64)] + [(name, float) for name in header[1:]]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = next(csv.reader(fh), None)
+            if first is None or [c.strip() for c in first] != header:
+                return None
+            with warnings.catch_warnings():
+                # "input contained no data", and any numpy deprecation of a
+                # lenient parse, send the file to the row parser
+                warnings.simplefilter("error")
+                body = np.loadtxt(
+                    fh, delimiter=",", dtype=dtype, ndmin=1, comments=None, quotechar='"'
+                )
+    except (ValueError, OverflowError, csv.Error, Warning):
+        return None
+    seconds = body["seconds"]
+    if not np.all((seconds >= window.start) & (seconds < window.end)):
+        return None
+    return body
+
+
+def _read_events(
+    path: str | Path, header: list[str], window: TimeWindow
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Day ids and float columns of an event CSV, rows in file order.
+
+    Day ids are int64 from the bulk parse and Python ints (object dtype)
+    from the row parser, which also takes ids beyond int64.
+    """
+    body = _parse_bulk(path, header, window) if _bulk_readable(path) else None
+    if body is not None:
+        return body["day"], [body[name] for name in header[1:]]
+    rows = _parse_event_rows(_read_rows(path, header), len(header), window, path)
+    if not rows:
+        raise ValueError(f"{path}: no event rows")
+    columns = list(zip(*rows))
+    return np.array(columns[0], dtype=object), [np.asarray(c, dtype=float) for c in columns[1:]]
+
+
 def load_events(path: str | Path, window: TimeWindow | None = None) -> EventSeries:
     """Read a ``day,seconds`` CSV into per-day sorted arrival arrays."""
     window = window or TimeWindow(0.0, 86400.0)
-    rows = _parse_event_rows(_read_rows(path, EVENT_HEADER), 2, window, path)
-    if not rows:
-        raise ValueError(f"{path}: no event rows")
-    days = sorted({r[0] for r in rows})
-    index = {d: i for i, d in enumerate(days)}
-    buckets: list[list[float]] = [[] for _ in days]
-    for day, seconds in rows:
-        buckets[index[day]].append(seconds)
-    return EventSeries(window=window, days=tuple(np.sort(np.asarray(b)) for b in buckets))
+    day, (seconds,) = _read_events(path, EVENT_HEADER, window)
+    # stable, so each day reaches np.sort in file order and ties of -0.0 and
+    # 0.0 come out as sorting that day's rows in file order puts them
+    _, dense = np.unique(day, return_inverse=True)
+    grouped = seconds[np.argsort(dense, kind="stable")]
+    bounds = np.cumsum(np.bincount(dense))[:-1]
+    return EventSeries(window=window, days=tuple(np.sort(part) for part in np.split(grouped, bounds)))
 
 
 def save_events(series: EventSeries, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_HEADER)
+        fh.write(",".join(EVENT_HEADER) + "\r\n")
         for day, arr in enumerate(series.days):
-            for t in arr:
-                writer.writerow([day, repr(float(t))])
+            if arr.size:
+                fh.write(f"{day}," + f"\r\n{day},".join(map(repr, arr.tolist())) + "\r\n")
 
 
 def load_geo_events(path: str | Path, window: TimeWindow | None = None) -> GeoEventSeries:
     """Read a ``day,seconds,lon,lat`` CSV."""
     window = window or TimeWindow(0.0, 86400.0)
-    rows = _parse_event_rows(_read_rows(path, GEO_HEADER), 4, window, path)
-    if not rows:
-        raise ValueError(f"{path}: no event rows")
-    arr = np.asarray(rows, dtype=float)
+    day, (seconds, lon, lat) = _read_events(path, GEO_HEADER, window)
+    # day ids go through float64, so ids beyond 2**53 round on both paths
+    # exactly as earlier versions rounded them
     return GeoEventSeries(
-        day=arr[:, 0].astype(int), seconds=arr[:, 1], lon=arr[:, 2], lat=arr[:, 3], window=window
+        day=np.asarray(day, dtype=float).astype(int), seconds=seconds, lon=lon, lat=lat, window=window
     )
 
 
 def save_geo_events(geo: GeoEventSeries, path: str | Path) -> None:
+    rows = zip(geo.day.tolist(), geo.seconds.tolist(), geo.lon.tolist(), geo.lat.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GEO_HEADER)
-        for day, sec, lon, lat in zip(geo.day, geo.seconds, geo.lon, geo.lat):
-            writer.writerow([int(day), repr(float(sec)), repr(float(lon)), repr(float(lat))])
+        fh.write(",".join(GEO_HEADER) + "\r\n")
+        fh.write("".join([f"{day},{sec!r},{lon!r},{lat!r}\r\n" for day, sec, lon, lat in rows]))
 
 
 def save_model(model: RateModel, path: str | Path) -> None:

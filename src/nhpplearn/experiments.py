@@ -21,6 +21,7 @@ from .dataio import save_model
 from .regression import FitConfig
 from .simulate import PiecewiseLinearRate, af_rate, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
+from .stat_tests import check_test_settings
 
 ETA_SWEEP_MINUTES = (600.0, 480.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 30.0, 20.0, 10.0)
 
@@ -56,6 +57,9 @@ class ExperimentConfig:
     test_mode: str = "per-day"
     clusters: int = 20
     geo_path: str | None = None
+
+    def __post_init__(self) -> None:
+        check_test_settings(self.test_method, self.test_mode)
 
     @classmethod
     def exp1_defaults(cls, **overrides) -> "ExperimentConfig":
@@ -101,7 +105,10 @@ class ExperimentConfig:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         if "eta_sweep_minutes" in payload:
             payload["eta_sweep_minutes"] = tuple(payload["eta_sweep_minutes"])
-        return replace(base, **payload)
+        try:
+            return replace(base, **payload)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         clean = {k: v for k, v in overrides.items() if v is not None}

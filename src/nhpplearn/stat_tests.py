@@ -160,6 +160,15 @@ def uniform_ks_test(
 
 
 _METHODS = {"log": log_test, "ks-uniform": uniform_ks_test}
+_MODES = ("per-day", "pooled")
+
+
+def check_test_settings(method: str, mode: str) -> None:
+    """Reject an unknown test method or aggregation mode, naming the value."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown aggregation mode '{mode}' (expected 'per-day' or 'pooled')")
+    if method not in _METHODS:
+        raise ValueError(f"unknown test method '{method}' (expected 'log' or 'ks-uniform')")
 
 
 def poisson_property_test(
@@ -216,10 +225,7 @@ def poisson_test_days(
     passing days reaches ``min_pass_fraction`` (default 1 - 2 * epsilon);
     ``pooled`` merges all days into one sample first.
     """
-    if mode not in ("per-day", "pooled"):
-        raise ValueError(f"unknown aggregation mode '{mode}'")
-    if method not in _METHODS:
-        raise ValueError(f"unknown test method '{method}' (expected 'log' or 'ks-uniform')")
+    check_test_settings(method, mode)
     n_days = len(day_arrivals)
     if mode == "pooled":
         merged = np.concatenate([np.asarray(a, dtype=float) for a in day_arrivals]) if n_days else np.empty(0)

@@ -77,6 +77,23 @@ def test_search_config_validation():
         SearchConfig(eta_seconds=0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"test_method": "ad"}, "unknown test method 'ad'"),
+    ({"test_mode": "daily"}, "unknown aggregation mode 'daily'"),
+    ({"test_method": "ad", "test_mode": "daily"}, "unknown aggregation mode 'daily'"),
+])
+def test_search_config_rejects_unknown_test_settings(kwargs, message):
+    # tikhonov and relaxed runs never test, so a typo must fail here
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**kwargs)
+
+
+def test_search_config_accepts_every_test_setting():
+    for method in ("log", "ks-uniform"):
+        for mode in ("per-day", "pooled"):
+            assert SearchConfig(test_method=method, test_mode=mode).test_mode == mode
+
+
 def test_divider_prerequisites():
     events = uniform_series(2, 50)
     counts = CountTable.from_events(events, 300.0)

@@ -148,6 +148,19 @@ def test_exp1_cli_writes_csv(runner, tmp_path):
     assert len(lines) == 3
 
 
+def test_exp1_cli_rejects_unknown_test_mode(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count_lo": 700, "count_hi": 800, "test_mode": "daily"}))
+    result = runner.invoke(main, [
+        "exp1", "--seed", "0", "--out-dir", str(tmp_path / "out"),
+        "--days-train", "2", "--days-test", "1", "--eta-sweep", "600",
+        "--config", str(cfg),
+    ])
+    assert result.exit_code != 0
+    assert f"{cfg}: unknown aggregation mode 'daily'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_exp3_cli_synthetic_fallback(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nhpplearn
 from nhpplearn import (
     CountTable,
     EventSeries,
@@ -99,6 +104,31 @@ def test_count_table_oversized_resolution_gives_single_cell():
     np.testing.assert_array_equal(table.cell_edges(), [0.0, 50.0])
 
 
+@st.composite
+def event_series_and_resolution(draw):
+    start = draw(st.floats(0.0, 80000.0))
+    end = draw(st.floats(start + 1.0, 86400.0))
+    window = TimeWindow(start, end)
+    edge_near = [start, float(np.nextafter(end, start))]
+    arrivals = st.one_of(
+        st.floats(start, end, exclude_max=True),
+        st.sampled_from(edge_near),
+    )
+    days = draw(st.lists(st.lists(arrivals, max_size=30), max_size=4))
+    resolution = draw(st.sampled_from([0.5, 1.0, 60.0, 300.0, 1800.0, 7.3, end - start]))
+    return EventSeries(window, tuple(np.array(d, dtype=float) for d in days)), resolution
+
+
+@given(event_series_and_resolution())
+@settings(max_examples=200, deadline=None)
+def test_count_table_conserves_every_event(case):
+    series, resolution = case
+    table = CountTable.from_events(series, resolution)
+    assert table.counts.shape == (series.n_days, table.n_cells)
+    np.testing.assert_array_equal(table.counts.sum(axis=1), [arr.size for arr in series.days])
+    assert table.counts.sum() == series.total_events
+
+
 # --- partitions ---------------------------------------------------------------
 
 def test_partition_edges_include_window_bounds():
@@ -181,6 +211,82 @@ def test_rate_model_coefficient_shape_checked():
     p = Partition(TimeWindow(0.0, 10.0), (5.0,))
     with pytest.raises(ValueError):
         RateModel(p, np.zeros((1, 2)))
+
+
+def evaluate_by_bin(model, t):
+    """RateModel.evaluate as it was, one mask and one polyval per bin: the oracle."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = model.partition.bin_index(t)
+    edges = model.partition.edges()
+    out = np.empty_like(t)
+    for k in np.unique(idx):
+        lo, hi = edges[k], edges[k + 1]
+        u = (2.0 * t[idx == k] - (lo + hi)) / (hi - lo)
+        out[idx == k] = np.polynomial.polynomial.polyval(u, model.coefficients[k])
+    if model.clamp:
+        out = np.maximum(out, 0.0)
+    return out
+
+
+@st.composite
+def rate_models_and_points(draw):
+    start = draw(st.floats(0.0, 80000.0))
+    end = draw(st.floats(start + 1.0, 86400.0))
+    inner = st.floats(start, end, exclude_min=True, exclude_max=True)
+    knots = tuple(sorted(draw(st.lists(inner, max_size=8, unique=True))))
+    degree = draw(st.integers(0, 4))
+    value = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+    row = st.lists(value, min_size=degree + 1, max_size=degree + 1)
+    coef = draw(st.lists(row, min_size=len(knots) + 1, max_size=len(knots) + 1))
+    model = RateModel(Partition(TimeWindow(start, end), knots), np.array(coef), clamp=draw(st.booleans()))
+    # knots, window ends and their neighbours, then anything in the window
+    edges = [float(e) for e in model.partition.edges()]
+    near = [float(np.nextafter(e, d)) for e in edges for d in (start, end)]
+    points = draw(st.lists(st.one_of(st.sampled_from(edges + near), st.floats(start, end)), max_size=40))
+    return model, np.array(points, dtype=float)
+
+
+@given(rate_models_and_points())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_is_bitwise_the_per_bin_loop(case):
+    model, points = case
+    got, want = model.evaluate(points), evaluate_by_bin(model, points)
+    assert got.shape == want.shape
+    assert (got == want).all()
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_evaluate_on_knots_and_window_end(clamp):
+    p = Partition(TimeWindow(0.0, 100.0), (40.0, 70.0))
+    model = RateModel(p, np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0], [-0.25, 1.5, 0.0]]), clamp=clamp)
+    points = np.array([0.0, 40.0, np.nextafter(40.0, 0.0), 70.0, 99.5, 100.0])
+    got = model.evaluate(points)
+    assert got.tobytes() == evaluate_by_bin(model, points).tobytes()
+    # t == 100 folds into the last bin, at u = 1
+    assert got[-1] == max(-0.25 + 1.5, 0.0)
+
+
+def test_evaluate_keeps_the_sign_of_zero():
+    # polyval starts from c[-1] + u*0, which is -0.0 only where u < 0
+    model = RateModel(Partition(TimeWindow(0.0, 10.0), ()), np.array([[-0.0]]), clamp=False)
+    got = model.evaluate(np.array([2.0, 8.0]))
+    assert got.tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+
+def test_evaluate_does_not_import_numpy_polynomial():
+    code = (
+        "import sys, numpy as np\n"
+        "from nhpplearn import Partition, RateModel, TimeWindow\n"
+        "before = 'numpy.polynomial' in sys.modules\n"
+        "m = RateModel(Partition(TimeWindow(0.0, 10.0), (5.0,)), np.ones((2, 3)))\n"
+        "m.evaluate(np.linspace(0.0, 10.0, 7))\n"
+        "print(before or 'numpy.polynomial' not in sys.modules)\n"
+    )
+    src = str(Path(nhpplearn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "True"
 
 
 # --- risk functionals ---------------------------------------------------------

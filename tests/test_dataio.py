@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nhpplearn import (
     EventSeries,
@@ -21,6 +24,8 @@ from nhpplearn import (
     save_geo_events,
     save_model,
 )
+from nhpplearn import dataio
+from nhpplearn.dataio import EVENT_HEADER, GEO_HEADER, _parse_event_rows, _read_rows
 
 W = TimeWindow(0.0, 86400.0)
 
@@ -95,6 +100,292 @@ def test_events_day_ids_mapped_in_sorted_order(tmp_path):
     np.testing.assert_array_equal(series.days[1], [30.0, 50.0])
 
 
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("extra", [b"", b" \t"], ids=["bulk", "rows"])
+def test_events_not_utf8_named_with_line(tmp_path, eol, extra):
+    # a whitespace-only line sends the file to the row parser; the line
+    # named is the same either way
+    path = tmp_path / "bad.csv"
+    path.write_bytes(eol.join([b"day,seconds", b"0,10.0", extra, b"0,2\xe9.0", b""]))
+    with pytest.raises(ValueError, match=rf"{path}: line 4: not UTF-8 text \(byte 0xe9"):
+        load_events(path)
+    geo = tmp_path / "bad_geo.csv"
+    geo.write_bytes(eol.join([b"day,seconds,lon,lat", b"0,1.0,\xff,2.0", b""]))
+    with pytest.raises(ValueError, match=rf"{geo}: line 2: not UTF-8 text"):
+        load_geo_events(geo)
+
+
+@pytest.mark.parametrize("body, want", [
+    ("0,10.0\n \n0,20.0\n", [[10.0, 20.0]]),  # whitespace-only line
+    ("0,1_000\n", [[1000.0]]),  # digit grouping
+    ("0,١٢.5\n", [[12.5]]),  # Arabic-Indic digits
+    ("73786976294838206464,5.0\n1,6.0\n", [[6.0], [5.0]]),  # day id 2**66
+    ("0,7.0\x1c\n", None),  # Python refuses an information separator in ASCII text
+])
+def test_inputs_numpy_refuses_keep_their_fate(tmp_path, body, want):
+    path = tmp_path / "odd.csv"
+    path.write_text("day,seconds\n" + body, encoding="utf-8")
+    if want is None:
+        with pytest.raises(ValueError, match="line 2: could not convert"):
+            load_events(path)
+        return
+    series = load_events(path)
+    assert [arr.tolist() for arr in series.days] == want
+
+
+def test_plain_files_skip_the_row_parser(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1)
+    series = EventSeries(W, tuple(rng.uniform(0.0, 86400.0, size=n) for n in (4000, 0, 5000)))
+    path = tmp_path / "events.csv"
+    save_events(series, path)
+    assert path.stat().st_size > csv.field_size_limit()  # past the cheap size check
+    geo = tmp_path / "geo.csv"
+    save_geo_events(GeoEventSeries(day=[0, 1], seconds=[1.0, 2.0], lon=[0.0, 1.0], lat=[2.0, 3.0]), geo)
+
+    def refuse(*args):
+        raise AssertionError("row parser used")
+
+    monkeypatch.setattr(dataio, "_parse_event_rows", refuse)
+    assert load_events(path).total_events == 9000
+    assert load_geo_events(geo).n_events == 2
+
+
+# --- bulk parse against the row parser --------------------------------------------
+
+def load_events_by_rows(path, window):
+    """load_events as it was before the bulk parse: the oracle."""
+    rows = _parse_event_rows(_read_rows(path, EVENT_HEADER), 2, window, path)
+    if not rows:
+        raise ValueError(f"{path}: no event rows")
+    days = sorted({r[0] for r in rows})
+    index = {d: i for i, d in enumerate(days)}
+    buckets = [[] for _ in days]
+    for day, seconds in rows:
+        buckets[index[day]].append(seconds)
+    return EventSeries(window=window, days=tuple(np.sort(np.asarray(b)) for b in buckets))
+
+
+def load_geo_events_by_rows(path, window):
+    """load_geo_events as it was before the bulk parse: the oracle."""
+    rows = _parse_event_rows(_read_rows(path, GEO_HEADER), 4, window, path)
+    if not rows:
+        raise ValueError(f"{path}: no event rows")
+    arr = np.asarray(rows, dtype=float)
+    return GeoEventSeries(
+        day=arr[:, 0].astype(int), seconds=arr[:, 1], lon=arr[:, 2], lat=arr[:, 3], window=window
+    )
+
+
+WINDOWS = [W, TimeWindow(100.0, 200.0), TimeWindow(0.5, 1000.25)]
+DAY_IDS = [0, 1, 2, 7, 42, -3, 10**6, 2**63 - 1, -(2**63)]
+HUGE_DAY_IDS = [2**63, 10**20]
+ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# Each file draws one flaw level: "clean" files stay inside what numpy reads,
+# "odd" ones add inputs only Python's int/float accept, "messy" ones add
+# errors anywhere, and "one-flaw" files are clean but for one line.
+SPELLINGS = {
+    "clean": ["plain"] * 8 + ["pad", "tab", "quote", "quote-pad", "plus", "zeros", "nbsp"],
+    "odd": ["under", "arabic"],
+    "messy": ["separator", "nul", "float-of-int"],
+}
+ROW_KINDS = {"clean": ["row"] * 12 + ["blank"], "odd": ["space"], "messy": ["extra", "short", "garbage"]}
+LEVELS = ["clean", "odd", "messy"]
+
+
+def pool(table, level):
+    return [x for lv in LEVELS[: LEVELS.index(level) + 1] for x in table[lv]]
+
+
+def spell(draw, text, level):
+    """One way a CSV writer (or a person) might spell a number token."""
+    style = draw(st.sampled_from(pool(SPELLINGS, level)))
+    if style in ("plus", "zeros") and text.startswith("-") or style == "under" and not text[:2].isdigit():
+        style = "plain"
+    return {
+        "pad": f" {text} ",
+        "tab": f"\t{text}",
+        "quote": f'"{text}"',
+        "quote-pad": f'"{text}" ',
+        "plus": f"+{text}",
+        "zeros": f"00{text}",
+        "nbsp": f"{text}\xa0",
+        "under": f"{text[:1]}_{text[1:]}",
+        "arabic": text.translate(ARABIC),
+        "separator": f"{text}\x1e",
+        "nul": f"{text}\x00",
+        "float-of-int": f"{text}.0",
+    }.get(style, text)
+
+
+def seconds_text(draw, window, level):
+    lo, hi = window.start, window.end
+    inside = [lo, float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))] + ([-0.0, 5e-324] if lo == 0 else [])
+    outside = [float(np.nextafter(lo, -1.0)), hi]
+    value = draw(st.one_of(
+        st.sampled_from(inside if level == "clean" else inside + outside),
+        st.floats(lo, hi, exclude_max=True),
+    ))
+    exact = [repr(value), f"{value:.17g}", f"{value:.17E}"]
+    text = draw(st.sampled_from(exact if level == "clean" else exact + [f"{value:e}", f"{value:.3f}"]))
+    if level == "messy":
+        text = draw(st.sampled_from([text] * 12 + ["inf", "-inf", "nan", "Infinity", "1e999", "abc", ""]))
+    return spell(draw, text, level)
+
+
+def coordinate_text(draw, level):
+    value = draw(st.floats(-1e3, 1e3))
+    text = repr(value)
+    if level == "messy":
+        text = draw(st.sampled_from([text] * 12 + ["nan", "-inf", "INF", "x"]))
+    return spell(draw, text, level)
+
+
+def event_line(draw, days, window, geo, level):
+    kind = draw(st.sampled_from(pool(ROW_KINDS, level)))
+    if kind in ("blank", "garbage"):
+        return {"blank": "", "garbage": "abc"}[kind]
+    if kind == "space":
+        return draw(st.sampled_from([" ", "\t", " \t "]))
+    fields = [spell(draw, str(draw(st.sampled_from(days))), level), seconds_text(draw, window, level)]
+    if geo:
+        fields += [coordinate_text(draw, level), coordinate_text(draw, level)]
+    if kind == "extra":
+        fields.append("1")
+    elif kind == "short":
+        fields.pop()
+    return ",".join(fields)
+
+
+@st.composite
+def event_csv(draw, geo=False):
+    """CSV text in the event format: clean, odd but valid, or flawed."""
+    level = draw(st.sampled_from(["clean", "clean", "odd", "messy", "one-flaw", "one-flaw"]))
+    row_level = "clean" if level == "one-flaw" else level
+    header = GEO_HEADER if geo else EVENT_HEADER
+    window = draw(st.sampled_from(WINDOWS))
+    eol = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    heads = [",".join(header)] * 6 + [", ".join(header), ",".join(f'"{h}"' for h in header)]
+    lines = [draw(st.sampled_from(heads + (["day,time"] if level == "messy" else [])))]
+    ids = DAY_IDS + (HUGE_DAY_IDS if level in ("odd", "messy") else [])
+    days = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+    for _ in range(draw(st.integers(0 if level == "messy" else 1, 25))):
+        lines.append(event_line(draw, days, window, geo, row_level))
+    if level == "one-flaw":
+        flawed = draw(st.sampled_from(["odd", "messy"]))
+        where = draw(st.integers(1, len(lines)))
+        bad_days = days + draw(st.sampled_from([[], HUGE_DAY_IDS]))
+        lines.insert(where, event_line(draw, bad_days, window, geo, flawed))
+    # mixed line ends, and the last one is optional
+    ends = [draw(st.sampled_from([eol] * 8 + ["\r\n", "\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([eol, ""]))
+    return "".join(line + end for line, end in zip(lines, ends)), window
+
+
+def outcome(load, path, window):
+    try:
+        return load(path, window)
+    except Exception as exc:  # the oracle and the loader must fail alike
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """The same exception and message, or bit-identical arrays."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert type(got) is type(want), got
+    if isinstance(want, EventSeries):
+        assert got.window == want.window and got.n_days == want.n_days
+        pairs = zip(got.days, want.days)
+    else:
+        pairs = ((getattr(got, name), getattr(want, name)) for name in ("day", "seconds", "lon", "lat"))
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(case=event_csv())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_events_equals_row_parser(tmp_path, case):
+    text, window = case
+    path = tmp_path / "events.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_same_outcome(outcome(load_events, path, window), outcome(load_events_by_rows, path, window))
+
+
+@given(case=event_csv(geo=True))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_geo_events_equals_row_parser(tmp_path, case):
+    text, window = case
+    path = tmp_path / "geo.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with np.errstate(invalid="ignore"):  # day ids beyond int64 overflow the same way in both
+        got, want = outcome(load_geo_events, path, window), outcome(load_geo_events_by_rows, path, window)
+    assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("body", [
+    "0," + "0" * 140_000 + "1.5\n",  # one field over csv's limit
+    '0,"' + "\n" * 140_000 + '1.5"\n',  # a quoted field over the limit, on short lines
+    "0,1.5\n" * 30_000,  # over the limit in total, every field short
+    '0,"1.5"\n' * 30_000,
+])
+def test_field_size_limit_keeps_its_fate(tmp_path, body):
+    path = tmp_path / "long.csv"
+    path.write_text("day,seconds\n" + body)
+    assert_same_outcome(outcome(load_events, path, W), outcome(load_events_by_rows, path, W))
+
+
+# --- writers against csv.writer -------------------------------------------------
+
+def save_events_by_rows(series, path):
+    """save_events as it was, one csv.writer row per arrival: the oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EVENT_HEADER)
+        for day, arr in enumerate(series.days):
+            for t in arr:
+                writer.writerow([day, repr(float(t))])
+
+
+def save_geo_events_by_rows(geo, path):
+    """save_geo_events as it was: the oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(GEO_HEADER)
+        for day, sec, lon, lat in zip(geo.day, geo.seconds, geo.lon, geo.lat):
+            writer.writerow([int(day), repr(float(sec)), repr(float(lon)), repr(float(lat))])
+
+
+SECONDS = st.one_of(
+    st.floats(0.0, 86400.0, exclude_max=True),
+    st.sampled_from([-0.0, 5e-324, 1e-7, 0.1, 1e16 / 1e12, 86399.99999999999]),
+)
+
+
+@given(days=st.lists(st.lists(SECONDS, max_size=20), max_size=5))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_events_writes_csv_writer_bytes(tmp_path, days):
+    series = EventSeries(W, tuple(np.array(d, dtype=float) for d in days))
+    save_events(series, tmp_path / "new.csv")
+    save_events_by_rows(series, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@given(rows=st.lists(
+    st.tuples(st.integers(-(2**63), 2**63 - 1), SECONDS, st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    max_size=20,
+))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_geo_events_writes_csv_writer_bytes(tmp_path, rows):
+    day, sec, lon, lat = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
+    geo = GeoEventSeries(day=np.array(day, dtype=np.int64), seconds=sec, lon=lon, lat=lat)
+    save_geo_events(geo, tmp_path / "new.csv")
+    save_geo_events_by_rows(geo, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 # --- geo CSV ------------------------------------------------------------------
 
 def test_geo_round_trip(tmp_path):
@@ -138,6 +429,33 @@ def test_model_round_trip_is_exact(tmp_path):
     assert back.clamp is True
     ts = np.linspace(0.0, 86400.0, 10000)
     np.testing.assert_allclose(back.evaluate(ts), model.evaluate(ts), rtol=0, atol=1e-12)
+
+
+@st.composite
+def rate_models(draw):
+    start = draw(st.floats(0.0, 80000.0))
+    end = draw(st.floats(start + 1.0, 86400.0))
+    inner = st.floats(start, end, exclude_min=True, exclude_max=True)
+    knots = tuple(sorted(draw(st.lists(inner, max_size=6, unique=True))))
+    degree = draw(st.integers(0, 4))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    coef = draw(st.lists(st.lists(value, min_size=degree + 1, max_size=degree + 1),
+                         min_size=len(knots) + 1, max_size=len(knots) + 1))
+    resolution = draw(st.one_of(st.none(), st.floats(1e-3, 86400.0)))
+    return RateModel(Partition(TimeWindow(start, end), knots), np.array(coef),
+                     clamp=draw(st.booleans()), resolution=resolution)
+
+
+@given(model=rate_models())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_model_save_load_round_trips_exactly(tmp_path, model):
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.partition == model.partition
+    assert back.coefficients.shape == model.coefficients.shape
+    assert back.coefficients.tobytes() == model.coefficients.tobytes()  # signed zeros too
+    assert back.clamp is model.clamp and back.resolution == model.resolution
 
 
 def test_model_file_is_plain_json(tmp_path):

@@ -62,6 +62,15 @@ def test_config_from_file_rejects_unknown_keys(tmp_path):
         ExperimentConfig.from_file(path)
 
 
+def test_config_rejects_unknown_test_settings(tmp_path):
+    with pytest.raises(ValueError, match="unknown test method 'ad'"):
+        ExperimentConfig(test_method="ad")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"test_mode": "daily"}))
+    with pytest.raises(ValueError, match=rf"{path}: unknown aggregation mode 'daily'"):
+        ExperimentConfig.from_file(path)
+
+
 def test_config_with_overrides_skips_none():
     cfg = ExperimentConfig.exp2_defaults()
     out = cfg.with_overrides(seed=None, degree=2)
