@@ -13,9 +13,7 @@ from .core import (
     Partition,
     RateModel,
     TimeWindow,
-    assign_bins,
     binned_risk,
-    empirical_risk,
     generalization_bound,
     penalized_risk,
     vc_bound_xi,
@@ -23,11 +21,9 @@ from .core import (
 from .binning import (
     SearchConfig,
     SearchTrace,
+    divide,
     equal_partition,
-    ivanov_divide,
     learn,
-    relaxed_divide,
-    tikhonov_divide,
 )
 from .dataio import (
     load_events,
@@ -51,7 +47,6 @@ from .stat_tests import (
     ks_critical,
     ks_statistic,
     log_test,
-    poisson_property_test,
     poisson_test_days,
     uniform_ks_test,
 )
@@ -73,15 +68,13 @@ __all__ = [
     "TestOutcome",
     "TimeWindow",
     "af_rate",
-    "assign_bins",
     "binned_risk",
-    "empirical_risk",
+    "divide",
     "equal_partition",
     "evaluate",
     "fit_bin",
     "fit_partition",
     "generalization_bound",
-    "ivanov_divide",
     "kmeans",
     "learn",
     "learn_per_area",
@@ -94,12 +87,9 @@ __all__ = [
     "save_events",
     "save_geo_events",
     "save_model",
-    "poisson_property_test",
     "poisson_test_days",
-    "relaxed_divide",
     "simulate_conditioned",
     "simulate_thinning",
-    "tikhonov_divide",
     "uniform_ks_test",
     "vc_bound_xi",
     "ks_critical",

@@ -1,9 +1,10 @@
 """Adaptive partition search for piecewise rate models.
 
-Three dividers share one engine, all splitting at uniformly sampled
-points.  Candidate intervals are refined worst-fit-first (highest
-per-cell risk next), so a tight bin budget flows to the stretches the
-current fit explains worst:
+One engine runs all three dividers.  ``divide`` makes one run of it and
+``learn`` makes ``max_restarts`` runs and keeps the best.  Every divider
+splits at uniformly sampled points, and candidate intervals are refined
+worst-fit-first (highest per-cell risk next), so a tight bin budget flows to
+the stretches the current fit explains worst:
 
 * ``ivanov``: a candidate split is probed with per-day homogeneity tests on
   both halves.  While a half still fails, the interval gets refined; an
@@ -14,8 +15,7 @@ current fit explains worst:
 * ``relaxed``: no tests; intervals divide unconditionally until their
   length drops to twice the floor ``eta`` (used for bin-budget sweeps).
 
-An outer restart loop reruns the search from scratch and keeps the best
-partition across restarts by training risk (optionally penalized risk).
+Across restarts, ``learn`` keeps the partition with the lowest training risk.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ _SEARCH_DOMAIN = 1  # substream namespace, disjoint from simulation
 
 GAMMA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 
+DIVIDERS = ("ivanov", "tikhonov", "relaxed")
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -61,7 +63,6 @@ class SearchConfig:
     test_method: str = "log"
     test_mode: str = "per-day"
     min_pass_fraction: float | None = None
-    outer_penalized: bool = False
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -94,22 +95,6 @@ class TraceEntry:
     reason: str | None = None
     left_test: dict | None = None
     right_test: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "interval": list(self.interval),
-            "proposed_knot": self.proposed_knot,
-            "accepted": self.accepted,
-            "knots": list(self.knots),
-            "n_bins": self.n_bins,
-            "risk": self.risk,
-            "penalized": self.penalized,
-            "depth": self.depth,
-            "reason": self.reason,
-            "left_test": self.left_test,
-            "right_test": self.right_test,
-        }
 
 
 @dataclass
@@ -145,34 +130,39 @@ class _SearchEngine:
     def __init__(
         self,
         data: CellData,
-        events_by_day: Optional[Sequence[np.ndarray]],
-        window: TimeWindow,
+        events: EventSeries | None,
         method: str,
         fit_config: FitConfig,
         config: SearchConfig,
-        rng: np.random.Generator,
+        restart_index: int = 0,
     ):
-        self.data = data
-        self.events = events_by_day
-        self.window = window
-        self.method = method
-        self.fit_config = fit_config
-        self.config = config
-        self.rng = rng
-        self.gamma = config.gamma
-        if method == "tikhonov" and self.gamma is None:
+        if method not in DIVIDERS:
+            raise ValueError(f"unknown divider '{method}' (expected one of {', '.join(DIVIDERS)})")
+        if method == "tikhonov" and config.gamma is None:
             raise ValueError("tikhonov division requires gamma to be set")
         if method == "relaxed" and config.eta_seconds is None:
             raise ValueError("relaxed division requires eta_seconds")
-        if method == "ivanov" and events_by_day is None:
-            raise ValueError("ivanov division requires per-day arrival times")
+        if method == "ivanov" and events is None:
+            raise ValueError("ivanov division requires training arrival times")
+        if method == "ivanov" and events.window != data.window:
+            raise ValueError("events and counts must share a window")
+        self.data = data
+        self.events = events
+        self.window = data.window
+        self.method = method
+        self.fit_config = fit_config
+        self.config = config
+        self.rng = np.random.default_rng(
+            np.random.SeedSequence((int(config.seed), _SEARCH_DOMAIN, int(restart_index)))
+        )
+        self.gamma = config.gamma
         self.m_total = data.total_points
         # registry: interval -> (risk, occupancy); current partition bins
         self.registry: dict[tuple[float, float], tuple[float, int]] = {}
         self.knots: list[float] = []
         self.s_weighted = 0.0  # sum of m_k * R_k over current bins
         self.s_penalty = 0.0  # sum of m_k * R_k / len_k over all bins but the last
-        self.trace = SearchTrace(method=method, window=window)
+        self.trace = SearchTrace(method=method, window=self.window)
         self._queue_seq = 0  # insertion tiebreak keeps heap order deterministic
 
     # -- bookkeeping -------------------------------------------------------
@@ -254,7 +244,7 @@ class _SearchEngine:
 
     def _day_slices(self, lo: float, hi: float) -> list[np.ndarray]:
         """Each day's arrivals in [lo, hi), as views of the sorted day arrays."""
-        return [arr[arr.searchsorted(lo) : arr.searchsorted(hi)] for arr in self.events]
+        return [arr[arr.searchsorted(lo) : arr.searchsorted(hi)] for arr in self.events.days]
 
     def _test_halves(
         self, days: list[np.ndarray], lo: float, hi: float, p: float
@@ -279,16 +269,10 @@ class _SearchEngine:
                 return p
         return 0.5 * (lo + hi)
 
-    def _leaf(self, lo: float, hi: float, depth: int, reason: str, left=None, right=None) -> None:
+    def _leaf(self, lo: float, hi: float, depth: int, reason: str, **tests) -> None:
         self._record(
-            kind="leaf",
-            interval=(lo, hi),
-            proposed_knot=None,
-            accepted=False,
-            depth=depth,
-            reason=reason,
-            left_test=left,
-            right_test=right,
+            kind="leaf", interval=(lo, hi), proposed_knot=None, accepted=False, depth=depth,
+            reason=reason, **tests,
         )
 
     def _visit(
@@ -308,112 +292,49 @@ class _SearchEngine:
             self._leaf(lo, hi, depth, "eta-floor")
             return None
 
-        if self.method != "ivanov":
-            p = self._sample_point(lo, hi)
-            self._split_interval(lo, hi, p)
-            self._record(kind="split", interval=(lo, hi), proposed_knot=p, accepted=True, depth=depth)
-            self._consider_best()
-            return (lo, p), (p, hi)
-
-        days = self._day_slices(lo, hi)
+        days = self._day_slices(lo, hi) if self.method == "ivanov" else None
         attempts = 0
         while True:
             p = self._sample_point(lo, hi)
-            left, right = self._test_halves(days, lo, hi, p)
-            if left.passed and right.passed:
-                # both halves look homogeneous; spend a retry hunting for
-                # a split point that still exposes structure
-                self._record(
-                    kind="probe",
-                    interval=(lo, hi),
-                    proposed_knot=p,
-                    accepted=False,
-                    depth=depth,
-                    left_test=left.to_dict(),
-                    right_test=right.to_dict(),
-                )
-                attempts += 1
-                if attempts > self.config.max_retries:
-                    self._leaf(lo, hi, depth, "homogeneous", left.to_dict(), right.to_dict())
-                    return None
-                continue
+            tests = {}
+            if days is not None:
+                left, right = self._test_halves(days, lo, hi, p)
+                tests = {"left_test": left.to_dict(), "right_test": right.to_dict()}
+                if left.passed and right.passed:
+                    # both halves look homogeneous; spend a retry hunting for
+                    # a split point that still exposes structure
+                    self._record(
+                        kind="probe", interval=(lo, hi), proposed_knot=p, accepted=False, depth=depth,
+                        **tests,
+                    )
+                    attempts += 1
+                    if attempts > self.config.max_retries:
+                        self._leaf(lo, hi, depth, "homogeneous", **tests)
+                        return None
+                    continue
             self._split_interval(lo, hi, p)
-            self._record(
-                kind="split",
-                interval=(lo, hi),
-                proposed_knot=p,
-                accepted=True,
-                depth=depth,
-                left_test=left.to_dict(),
-                right_test=right.to_dict(),
-            )
+            self._record(kind="split", interval=(lo, hi), proposed_knot=p, accepted=True, depth=depth, **tests)
             self._consider_best()
             return (lo, p), (p, hi)
 
 
-def _restart_rng(seed: int, restart_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed), _SEARCH_DOMAIN, int(restart_index))))
-
-
-def _events_by_day(events: EventSeries | None) -> list[np.ndarray] | None:
-    if events is None:
-        return None
-    return list(events.days)
-
-
-def ivanov_divide(
-    events: EventSeries,
+def divide(
+    method: str,
     counts: CountTable,
+    events: EventSeries | None = None,
     fit_config: FitConfig | None = None,
     config: SearchConfig | None = None,
     restart_index: int = 0,
 ) -> SearchTrace:
-    """One constraint-based division run (no restarts)."""
-    config = config or SearchConfig()
-    fit_config = fit_config or FitConfig()
-    if events.window != counts.window:
-        raise ValueError("events and counts must share a window")
+    """One division run (no restarts) with one of ``DIVIDERS``.
+
+    ``ivanov`` needs ``events``, the training arrivals over the counts'
+    window; ``tikhonov`` needs ``config.gamma``; ``relaxed`` splits until
+    intervals reach twice ``config.eta_seconds``.  ``restart_index`` picks
+    the random stream, as restart ``r`` of ``learn`` does.
+    """
     engine = _SearchEngine(
-        CellData(counts),
-        _events_by_day(events),
-        counts.window,
-        "ivanov",
-        fit_config,
-        config,
-        _restart_rng(config.seed, restart_index),
-    )
-    return engine.run()
-
-
-def tikhonov_divide(
-    counts: CountTable,
-    fit_config: FitConfig | None = None,
-    config: SearchConfig | None = None,
-    restart_index: int = 0,
-) -> SearchTrace:
-    """One penalty-based division run (no restarts); requires config.gamma."""
-    config = config or SearchConfig(gamma=1e-2)
-    fit_config = fit_config or FitConfig()
-    engine = _SearchEngine(
-        CellData(counts), None, counts.window, "tikhonov", fit_config, config,
-        _restart_rng(config.seed, restart_index),
-    )
-    return engine.run()
-
-
-def relaxed_divide(
-    counts: CountTable,
-    eta_seconds: float,
-    fit_config: FitConfig | None = None,
-    config: SearchConfig | None = None,
-    restart_index: int = 0,
-) -> SearchTrace:
-    """One floor-bounded division run: split until intervals reach 2 * eta."""
-    cfg = replace(config or SearchConfig(), eta_seconds=float(eta_seconds))
-    fit_config = fit_config or FitConfig()
-    engine = _SearchEngine(
-        CellData(counts), None, counts.window, "relaxed", fit_config, cfg,
-        _restart_rng(cfg.seed, restart_index),
+        CellData(counts), events, method, fit_config or FitConfig(), config or SearchConfig(), restart_index
     )
     return engine.run()
 
@@ -425,7 +346,7 @@ def parse_method(method: str) -> tuple[str, int | None]:
         if n < 1:
             raise ValueError("equal:N needs N >= 1")
         return "equal", n
-    if method in ("ivanov", "tikhonov", "relaxed"):
+    if method in DIVIDERS:
         return method, None
     raise ValueError(f"unknown method '{method}'")
 
@@ -442,11 +363,10 @@ def learn(
     """Learn a piecewise rate model with the requested division strategy.
 
     Runs ``config.max_restarts`` independent divider runs and keeps the best
-    partition by training risk (penalized instead when ``outer_penalized``),
-    then refits it and scores train/test RMSE.  ``method`` is one of
-    ``ivanov``, ``tikhonov``, ``relaxed``, or ``equal:N``; for ``tikhonov``
-    with ``gamma=None`` the penalty weight is picked from a small grid on a
-    held-out tail of the training days.
+    partition by training risk, then refits it and scores train/test RMSE.
+    ``method`` is one of ``ivanov``, ``tikhonov``, ``relaxed``, or
+    ``equal:N``; for ``tikhonov`` with ``gamma=None`` the penalty weight is
+    picked from a small grid on a held-out tail of the training days.
     """
     fit_config = fit_config or FitConfig()
     config = config or SearchConfig()
@@ -501,14 +421,12 @@ def learn(
         improvement = None
         if rmse_test is not None and baseline.rmse_test:
             improvement = (baseline.rmse_test - rmse_test) * 100.0 / baseline.rmse_test
-        report = FitReport(
-            **{
-                **report.__dict__,
-                "equal_bins": baseline.n_bins,
-                "equal_rmse_train": baseline.rmse_train,
-                "equal_rmse_test": baseline.rmse_test,
-                "improvement_pct": improvement,
-            }
+        report = replace(
+            report,
+            equal_bins=baseline.n_bins,
+            equal_rmse_train=baseline.rmse_train,
+            equal_rmse_test=baseline.rmse_test,
+            improvement_pct=improvement,
         )
 
     if config.trace_path and traces:
@@ -523,54 +441,34 @@ def _search_best(
     fit_config: FitConfig,
     config: SearchConfig,
 ) -> tuple[Partition, list[SearchTrace]]:
-    window = data.window
-    events = _events_by_day(train_events) if kind == "ivanov" else None
-    if kind == "ivanov" and events is None:
-        raise ValueError("ivanov learning requires training arrival times")
-    if kind == "ivanov" and train_events.window != window:
-        raise ValueError("events and counts must share a window")
     best_score = math.inf
     best_knots: tuple[float, ...] = ()
     traces = []
     for r in range(config.max_restarts):
-        engine = _SearchEngine(
-            data, events, window, kind, fit_config, config,
-            _restart_rng(config.seed, r),
-        )
-        trace = engine.run()
+        trace = _SearchEngine(data, train_events, kind, fit_config, config, r).run()
         traces.append(trace)
-        candidate = trace.best_knots
-        score = _outer_score(data, window, candidate, fit_config, config, kind)
+        score = _outer_score(data, trace.best_knots, fit_config)
         if score < best_score:
             best_score = score
-            best_knots = candidate
-    return Partition(window=window, knots=best_knots), traces
+            best_knots = trace.best_knots
+    return Partition(window=data.window, knots=best_knots), traces
 
 
-def _outer_score(
-    data: CellData,
-    window: TimeWindow,
-    knots: tuple[float, ...],
-    fit_config: FitConfig,
-    config: SearchConfig,
-    kind: str,
-) -> float:
-    partition = Partition(window=window, knots=knots)
-    edges = partition.edges()
+def _outer_score(data: CellData, knots: tuple[float, ...], fit_config: FitConfig) -> float:
+    """Training risk of a restart's best partition, summed bin by bin in order.
+
+    The engine's running sum reaches the same risk through other roundings,
+    and relaxed restarts tie down to the last bit, so this in-order sum
+    (that of ``binned_risk``) decides which restart wins.
+    """
+    edges = Partition(window=data.window, knots=knots).edges()
     weighted = 0.0
-    penalty = 0.0
     total = 0
-    for k in range(partition.n_bins):
-        lo, hi = edges[k], edges[k + 1]
-        _, risk, m = data.fit_interval(lo, hi, fit_config)
+    for k in range(len(knots) + 1):
+        _, risk, m = data.fit_interval(edges[k], edges[k + 1], fit_config)
         weighted += m * risk
         total += m
-        if hi < window.end:
-            penalty += m * risk / (hi - lo)
-    base = weighted / total
-    if kind == "tikhonov" and config.outer_penalized:
-        return base + config.gamma * penalty
-    return base
+    return weighted / total
 
 
 def _select_gamma(train_counts: CountTable, fit_config: FitConfig, config: SearchConfig) -> float:
@@ -597,7 +495,7 @@ def _write_trace(path: str, traces: Sequence[SearchTrace]) -> None:
     with open(path, "w") as fh:
         for r, trace in enumerate(traces):
             for i, entry in enumerate(trace.entries):
-                record = {"restart": r, "event": i, **entry.to_dict()}
+                record = {"restart": r, "event": i, **asdict(entry)}
                 fh.write(json.dumps(record) + "\n")
             fh.write(
                 json.dumps(

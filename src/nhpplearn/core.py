@@ -170,21 +170,6 @@ class Partition:
         return np.minimum(idx, self.n_bins - 1)
 
 
-def assign_bins(times: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Assign times to partition bins.
-
-    Returns
-    -------
-    idx : ndarray of int
-        Bin index per time, half-open rule [b_{k-1}, b_k).
-    sizes : ndarray of int
-        Occupancy m_k per bin (length ``partition.n_bins``).
-    """
-    idx = partition.bin_index(times)
-    sizes = np.bincount(idx, minlength=partition.n_bins)
-    return idx, sizes
-
-
 @dataclass(frozen=True)
 class RateModel:
     """Piecewise-polynomial rate: one degree-d polynomial per partition bin.
@@ -234,13 +219,6 @@ class RateModel:
             out = np.maximum(out, 0.0)
         return out
 
-    def bin_polynomial(self, k: int) -> np.polynomial.Polynomial:
-        """Bin k's polynomial as a numpy Polynomial in raw time-of-day."""
-        edges = self.partition.edges()
-        return np.polynomial.Polynomial(
-            self.coefficients[k], domain=[edges[k], edges[k + 1]], window=[-1.0, 1.0]
-        )
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -288,24 +266,6 @@ class FitReport:
 # ---------------------------------------------------------------------------
 # Risk functionals
 # ---------------------------------------------------------------------------
-
-def _rate_values(model, times: np.ndarray) -> np.ndarray:
-    if isinstance(model, RateModel):
-        return model.evaluate(times)
-    return np.asarray(model(np.asarray(times, dtype=float)), dtype=float)
-
-
-def empirical_risk(model, times: Sequence[float], counts: Sequence[float]) -> float:
-    """Mean squared error of a rate model against observed (time, count) pairs."""
-    times = np.asarray(times, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if times.size == 0:
-        raise ValueError("empirical risk of an empty sample is undefined")
-    if times.shape != counts.shape:
-        raise ValueError("times and counts must have matching shapes")
-    resid = counts - _rate_values(model, times)
-    return float(np.mean(resid * resid))
-
 
 def binned_risk(sizes: Sequence[int], risks: Sequence[float]) -> float:
     """Occupancy-weighted mean of per-bin risks: (1/m) * sum_k m_k * R_k."""

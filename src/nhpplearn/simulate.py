@@ -89,9 +89,6 @@ class PiecewiseLinearRate:
         """Rate at seconds-of-day ``t`` in events per ``scale``-second unit."""
         return self._native(t)
 
-    def per_second(self, t: np.ndarray | float) -> np.ndarray:
-        return self._native(t) / self.scale
-
     def max_value(self) -> float:
         """Exact supremum of the rate; attained at a breakpoint (clamping adds no interior maxima)."""
         return float(np.max(self._rate_grid))

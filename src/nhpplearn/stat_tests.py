@@ -43,16 +43,6 @@ class TestOutcome:
     passed: bool
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "critical": self.critical,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "passed": self.passed,
-            "method": self.method,
-        }
-
 
 def _ks_sup(f: np.ndarray, q: np.ndarray) -> float:
     """sup_x |F_m(x) - F(x)| from ``f``, the reference CDF at the order statistics.
@@ -159,7 +149,7 @@ def uniform_ks_test(
     return _outcome(*_day_statistic(arrivals, lo, hi, False), epsilon, "ks-uniform")
 
 
-_METHODS = {"log": log_test, "ks-uniform": uniform_ks_test}
+_METHODS = ("log", "ks-uniform")
 _MODES = ("per-day", "pooled")
 
 
@@ -169,19 +159,6 @@ def check_test_settings(method: str, mode: str) -> None:
         raise ValueError(f"unknown aggregation mode '{mode}' (expected 'per-day' or 'pooled')")
     if method not in _METHODS:
         raise ValueError(f"unknown test method '{method}' (expected 'log' or 'ks-uniform')")
-
-
-def poisson_property_test(
-    arrivals: Sequence[float],
-    lo: float,
-    hi: float,
-    epsilon: float = 0.05,
-    method: str = "log",
-) -> TestOutcome:
-    """Dispatch a homogeneity test by name; empty intervals pass vacuously."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown test method '{method}' (expected 'log' or 'ks-uniform')")
-    return _METHODS[method](arrivals, lo, hi, epsilon)
 
 
 @dataclass(frozen=True)
@@ -227,14 +204,12 @@ def poisson_test_days(
     """
     check_test_settings(method, mode)
     n_days = len(day_arrivals)
+    log = method == "log"
     if mode == "pooled":
         merged = np.concatenate([np.asarray(a, dtype=float) for a in day_arrivals]) if n_days else np.empty(0)
-        outcome = poisson_property_test(merged, lo, hi, epsilon, method)
-        return MultiDayOutcome(
-            outcome.passed, n_days, n_days if outcome.passed else 0, 1.0, epsilon, method, mode
-        )
+        passed = _outcome(*_day_statistic(merged, lo, hi, log), epsilon, method).passed
+        return MultiDayOutcome(passed, n_days, n_days if passed else 0, 1.0, epsilon, method, mode)
     threshold = (1.0 - 2.0 * epsilon) if min_pass_fraction is None else min_pass_fraction
-    log = method == "log"
     n_passed = 0
     for arrivals in day_arrivals:
         stat, m = _day_statistic(arrivals, lo, hi, log)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhpplearn import (
     CountTable,
@@ -17,14 +19,13 @@ from nhpplearn import (
     TimeWindow,
     binned_risk,
     equal_partition,
+    divide,
     fit_partition,
-    ivanov_divide,
     learn,
+    penalized_risk,
     poisson_test_days,
-    relaxed_divide,
-    tikhonov_divide,
 )
-from nhpplearn.binning import GAMMA_GRID, _SearchEngine, parse_method
+from nhpplearn.binning import DIVIDERS, GAMMA_GRID, _SearchEngine, parse_method
 from nhpplearn.regression import CellData
 
 W = TimeWindow(0.0, 86400.0)
@@ -98,10 +99,21 @@ def test_divider_prerequisites():
     events = uniform_series(2, 50)
     counts = CountTable.from_events(events, 300.0)
     with pytest.raises(ValueError, match="requires gamma"):
-        tikhonov_divide(counts, config=SearchConfig())  # gamma left unset
+        divide("tikhonov", counts)  # gamma left unset
+    with pytest.raises(ValueError, match="requires eta_seconds"):
+        divide("relaxed", counts)
+    with pytest.raises(ValueError, match="requires training arrival times"):
+        divide("ivanov", counts)
     with pytest.raises(ValueError, match="share a window"):
         other = CountTable.from_events(EventSeries(TimeWindow(0.0, 7200.0), (np.array([10.0]),)), 300.0)
-        ivanov_divide(events, other)
+        divide("ivanov", other, events)
+
+
+@pytest.mark.parametrize("method", ["equal:3", "dbm"])
+def test_divide_rejects_what_is_not_a_divider(method):
+    counts = CountTable.from_events(uniform_series(1, 50), 300.0)
+    with pytest.raises(ValueError, match=f"unknown divider '{method}'"):
+        divide(method, counts)
 
 
 # --- relaxed division ---------------------------------------------------------
@@ -109,7 +121,7 @@ def test_divider_prerequisites():
 def test_relaxed_divides_down_to_the_length_floor():
     counts = CountTable.from_events(uniform_series(2, 400), 300.0)
     eta = 7200.0
-    trace = relaxed_divide(counts, eta_seconds=eta, config=SearchConfig(max_depth=30, max_bins=64, eta_seconds=eta))
+    trace = divide("relaxed", counts, config=SearchConfig(max_depth=30, max_bins=64, eta_seconds=eta))
     part = trace.best_partition()
     assert part.n_bins >= 6  # 86400 / (2 * 7200) = 6 is the fewest possible
     assert (part.lengths() <= 2.0 * eta + 1e-9).all()
@@ -123,9 +135,9 @@ def test_relaxed_divides_down_to_the_length_floor():
 def test_relaxed_is_deterministic_per_restart_index():
     counts = CountTable.from_events(uniform_series(1, 200), 300.0)
     cfg = SearchConfig(eta_seconds=10000.0, seed=5)
-    a = relaxed_divide(counts, 10000.0, config=cfg, restart_index=2)
-    b = relaxed_divide(counts, 10000.0, config=cfg, restart_index=2)
-    c = relaxed_divide(counts, 10000.0, config=cfg, restart_index=3)
+    a = divide("relaxed", counts, config=cfg, restart_index=2)
+    b = divide("relaxed", counts, config=cfg, restart_index=2)
+    c = divide("relaxed", counts, config=cfg, restart_index=3)
     assert a.best_knots == b.best_knots
     assert a.best_knots != c.best_knots
 
@@ -135,7 +147,7 @@ def test_relaxed_is_deterministic_per_restart_index():
 def test_ivanov_splits_inhomogeneous_data():
     events = steep_series()
     counts = CountTable.from_events(events, 300.0)
-    trace = ivanov_divide(events, counts, FitConfig(degree=1), SearchConfig(max_depth=6, max_bins=8, max_retries=3))
+    trace = divide("ivanov", counts, events, FitConfig(degree=1), SearchConfig(max_depth=6, max_bins=8, max_retries=3))
     assert trace.best_partition().n_bins >= 2
     kinds = {e.kind for e in trace.entries}
     assert "split" in kinds and "root" in kinds
@@ -144,7 +156,7 @@ def test_ivanov_splits_inhomogeneous_data():
 def test_ivanov_split_entries_carry_failing_half():
     events = steep_series(4, 200, seed=3)
     counts = CountTable.from_events(events, 300.0)
-    trace = ivanov_divide(events, counts, FitConfig(degree=1), SearchConfig(max_depth=5, max_bins=6, max_retries=2))
+    trace = divide("ivanov", counts, events, FitConfig(degree=1), SearchConfig(max_depth=5, max_bins=6, max_retries=2))
     splits = [e for e in trace.entries if e.kind == "split"]
     assert splits
     for e in splits:
@@ -158,7 +170,7 @@ def test_ivanov_zero_bar_probe_leafs_immediately():
     events = steep_series(3, 100, seed=1)
     counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_retries=0, min_pass_fraction=0.0)
-    trace = ivanov_divide(events, counts, FitConfig(degree=1), cfg)
+    trace = divide("ivanov", counts, events, FitConfig(degree=1), cfg)
     assert trace.best_partition().n_bins == 1
     assert [e.kind for e in trace.entries] == ["root", "probe", "leaf"]
 
@@ -167,7 +179,7 @@ def test_ivanov_homogeneous_data_stays_coarse():
     events = uniform_series(8, 120, seed=2)
     counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=8, max_bins=32, max_retries=2, min_pass_fraction=0.5)
-    trace = ivanov_divide(events, counts, FitConfig(degree=0), cfg)
+    trace = divide("ivanov", counts, events, FitConfig(degree=0), cfg)
     # with a forgiving pass bar, uniform arrivals rarely fail a probe, so the
     # retry budget runs out near the root
     assert trace.best_partition().n_bins <= 6
@@ -178,10 +190,7 @@ def test_probe_halves_equal_tests_of_masked_days():
     # the probe point; the halves must be exactly the masked arrivals
     series = steep_series(n_days=4, per_day=400, seed=9)
     counts = CountTable.from_events(series, 300.0)
-    engine = _SearchEngine(
-        CellData(counts), list(series.days), W, "ivanov", FitConfig(), SearchConfig(),
-        np.random.default_rng(0),
-    )
+    engine = _SearchEngine(CellData(counts), series, "ivanov", FitConfig(), SearchConfig())
     t = series.days[1]
     for lo, hi in ((0.0, 86400.0), (3600.0, 7200.0), (t[10], t[300])):
         days = engine._day_slices(lo, hi)
@@ -194,18 +203,35 @@ def test_probe_halves_equal_tests_of_masked_days():
 
 # --- bookkeeping and budgets --------------------------------------------------
 
-def test_trace_risk_matches_full_refit():
-    events = steep_series(3, 250, seed=7)
+@given(
+    method=st.sampled_from(DIVIDERS),
+    steep=st.booleans(),
+    data_seed=st.integers(0, 10_000),
+    search_seed=st.integers(0, 10_000),
+    restart=st.integers(0, 3),
+    degree=st.integers(0, 3),
+    gamma=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]),
+    eta=st.sampled_from([600.0, 1800.0, 7200.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, restart, degree, gamma, eta):
+    # the engine's running sums must equal a fresh fit of its best partition
+    events = (steep_series if steep else uniform_series)(3, 250, seed=data_seed)
     counts = CountTable.from_events(events, 300.0)
-    trace = ivanov_divide(events, counts, FitConfig(degree=1), SearchConfig(max_depth=6, max_bins=10, max_retries=2))
+    fit = FitConfig(degree=degree)
+    cfg = SearchConfig(max_depth=6, max_bins=10, max_retries=2, gamma=gamma, eta_seconds=eta, seed=search_seed)
+    trace = divide(method, counts, events, fit, cfg, restart_index=restart)
     part = trace.best_partition()
-    _, risks, sizes = fit_partition(counts, part, FitConfig(degree=1))
-    np.testing.assert_allclose(trace.best_risk, binned_risk(sizes, risks), rtol=1e-9)
+    _, risks, sizes = fit_partition(counts, part, fit)
+    penalized = penalized_risk(sizes, risks, part, gamma)
+    want = penalized if method == "tikhonov" else binned_risk(sizes, risks)
+    np.testing.assert_allclose(trace.best_risk, want, rtol=1e-9)
+    np.testing.assert_allclose(trace.best_penalized, penalized, rtol=1e-9)
 
 
 def test_max_bins_budget_is_respected():
     counts = CountTable.from_events(uniform_series(1, 400), 300.0)
-    trace = tikhonov_divide(counts, FitConfig(degree=0), SearchConfig(max_bins=5, max_depth=20, gamma=1e-4))
+    trace = divide("tikhonov", counts, None, FitConfig(degree=0), SearchConfig(max_bins=5, max_depth=20, gamma=1e-4))
     # the divider never grows past the cap
     assert max(e.n_bins for e in trace.entries) <= 5
     assert any(e.kind == "leaf" and e.reason == "max-bins" for e in trace.entries)
@@ -213,7 +239,7 @@ def test_max_bins_budget_is_respected():
 
 def test_max_depth_budget_is_respected():
     counts = CountTable.from_events(uniform_series(1, 400), 300.0)
-    trace = tikhonov_divide(counts, FitConfig(degree=0), SearchConfig(max_depth=2, max_bins=64, gamma=1e-4))
+    trace = divide("tikhonov", counts, None, FitConfig(degree=0), SearchConfig(max_depth=2, max_bins=64, gamma=1e-4))
     assert max(e.n_bins for e in trace.entries) <= 4  # depth 2 caps at 4 bins
     assert any(e.reason == "max-depth" for e in trace.entries)
 
@@ -224,7 +250,7 @@ def test_worst_bin_is_refined_first():
     flat = rng.poisson(5.0, size=(4, 144))
     step = np.concatenate([rng.poisson(2.0, size=(4, 72)), rng.poisson(40.0, size=(4, 72))], axis=1)
     counts = CountTable(W, 300.0, np.concatenate([flat, step], axis=1).astype(float))
-    trace = tikhonov_divide(counts, FitConfig(degree=0), SearchConfig(max_bins=3, max_depth=10, gamma=1e-6))
+    trace = divide("tikhonov", counts, None, FitConfig(degree=0), SearchConfig(max_bins=3, max_depth=10, gamma=1e-6))
     root_split = next(e for e in trace.entries if e.kind == "split" and e.depth == 0)
     p = root_split.proposed_knot
     data = CellData(counts)
@@ -297,10 +323,3 @@ def test_learn_writes_jsonl_trace(tmp_path):
     best_rows = [r for r in lines if r["event"] == "best"]
     assert len(best_rows) == 2  # one summary row per restart
     assert {r["restart"] for r in lines} == {0, 1}
-
-
-def test_outer_penalized_flag_runs():
-    counts = CountTable.from_events(uniform_series(2, 150, seed=23), 300.0)
-    cfg = SearchConfig(max_depth=4, max_bins=5, max_restarts=2, gamma=1e-3, outer_penalized=True)
-    rep = learn(None, counts, method="tikhonov", fit_config=FitConfig(degree=0), config=cfg)
-    assert rep.penalized_risk is not None

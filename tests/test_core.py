@@ -20,9 +20,7 @@ from nhpplearn import (
     Partition,
     RateModel,
     TimeWindow,
-    assign_bins,
     binned_risk,
-    empirical_risk,
     generalization_bound,
     penalized_risk,
     vc_bound_xi,
@@ -177,7 +175,8 @@ def test_bin_index_matches_linear_scan(raw_knots):
 def test_assign_bins_counts_every_event_once():
     p = Partition(DAY, (21600.0,))
     times = np.array([100.0, 30000.0, 86399.0])
-    idx, sizes = assign_bins(times, p)
+    idx = p.bin_index(times)
+    sizes = np.bincount(idx, minlength=p.n_bins)
     np.testing.assert_array_equal(idx, [0, 1, 1])
     np.testing.assert_array_equal(sizes, [1, 2])
     assert sizes.sum() == len(times)
@@ -202,8 +201,10 @@ def test_bin_polynomial_round_trips_evaluation():
     p = Partition(TimeWindow(0.0, 100.0), (40.0,))
     coefs = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
     model = RateModel(p, coefs, clamp=False)
+    edges = p.edges()
     for k, probes in ((0, np.linspace(0.0, 39.9, 7)), (1, np.linspace(40.0, 100.0, 7))):
-        poly = model.bin_polynomial(k)
+        # bin k's polynomial in raw time: its domain maps onto u in [-1, 1]
+        poly = np.polynomial.Polynomial(coefs[k], domain=[edges[k], edges[k + 1]], window=[-1.0, 1.0])
         np.testing.assert_allclose(poly(probes), model.evaluate(probes), atol=1e-12)
 
 
@@ -290,22 +291,6 @@ def test_evaluate_does_not_import_numpy_polynomial():
 
 
 # --- risk functionals ---------------------------------------------------------
-
-def test_empirical_risk_matches_hand_loop():
-    rng = np.random.default_rng(7)
-    times = rng.uniform(0.0, 10.0, size=40)
-    counts = rng.poisson(5.0, size=40).astype(float)
-    model = lambda t: 0.3 * np.asarray(t) + 1.0
-    expected = sum((c - (0.3 * t + 1.0)) ** 2 for t, c in zip(times, counts)) / 40
-    assert math.isclose(empirical_risk(model, times, counts), expected, rel_tol=1e-12)
-
-
-def test_empirical_risk_rejects_empty_and_mismatch():
-    with pytest.raises(ValueError, match="empty sample"):
-        empirical_risk(lambda t: t, [], [])
-    with pytest.raises(ValueError, match="matching shapes"):
-        empirical_risk(lambda t: t, [1.0, 2.0], [1.0])
-
 
 def test_binned_risk_is_occupancy_weighted_mean():
     sizes = [3, 5, 2]

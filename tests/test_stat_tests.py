@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhpplearn import ks_critical, ks_statistic, log_test, poisson_property_test, poisson_test_days
+from nhpplearn import ks_critical, ks_statistic, log_test, poisson_test_days
 from nhpplearn.stat_tests import TestOutcome as Outcome
 from nhpplearn.stat_tests import uniform_ks_test
 
@@ -73,7 +74,7 @@ ORACLES = {"log": (log_test, oracle_log_test), "ks-uniform": (uniform_ks_test, o
 def assert_same_outcome(got, want):
     # ``==`` on every field; a NaN statistic (two arrivals whose offsets both
     # round to the span) must be NaN on both sides
-    got, want = got.to_dict(), want.to_dict()
+    got, want = asdict(got), asdict(want)
     if math.isnan(want["statistic"]):
         assert math.isnan(got.pop("statistic"))
         del want["statistic"]
@@ -275,14 +276,6 @@ def test_uniform_ks_hand_computed_case():
     assert out.method == "ks-uniform"
 
 
-def test_dispatch_by_method_name():
-    a = poisson_property_test([1.0, 2.0], 0.0, 10.0, method="log")
-    b = poisson_property_test([1.0, 2.0], 0.0, 10.0, method="ks-uniform")
-    assert a.method == "log" and b.method == "ks-uniform"
-    with pytest.raises(ValueError, match="unknown test method 'ad'"):
-        poisson_property_test([1.0], 0.0, 10.0, method="ad")
-
-
 # --- multi-day aggregation ----------------------------------------------------
 
 def _random_days(rng, n_days, lo, hi, size):
@@ -293,7 +286,7 @@ def test_per_day_majority_matches_loop_oracle():
     rng = np.random.default_rng(31)
     days = _random_days(rng, 25, 0.0, 50.0, 40)
     out = poisson_test_days(days, 0.0, 50.0, epsilon=0.05)
-    per_day = [poisson_property_test(d, 0.0, 50.0, 0.05, "log").passed for d in days]
+    per_day = [log_test(d, 0.0, 50.0, 0.05).passed for d in days]
     assert out.n_days == 25
     assert out.n_passed == sum(per_day)
     assert out.required_fraction == pytest.approx(0.9)
@@ -315,7 +308,7 @@ def test_pooled_mode_equals_single_merged_test():
     rng = np.random.default_rng(41)
     days = _random_days(rng, 4, 0.0, 20.0, 15)
     pooled = poisson_test_days(days, 0.0, 20.0, mode="pooled")
-    merged = poisson_property_test(np.sort(np.concatenate(days)), 0.0, 20.0)
+    merged = log_test(np.sort(np.concatenate(days)), 0.0, 20.0)
     assert pooled.passed == merged.passed
     assert pooled.n_days == 4
     with pytest.raises(ValueError, match="unknown aggregation mode"):
