@@ -100,11 +100,12 @@ def _day_statistic(arrivals: Sequence[float], lo: float, hi: float, log: bool) -
     span = hi - lo
     r = np.arange(m + 1.0)
     if log:
-        # L = log(span - [0, t_1, ..., t_m]): log(span - t_{i-1}) is L[i-1],
-        # the log of the same double as log(span - t_i) one step earlier
+        # L = log(hi - [lo, t_1, ..., t_m]): log(hi - t_{i-1}) is L[i-1], the
+        # log of the same double as log(hi - t_i) one step earlier.  hi - t_i
+        # is exact for t_i near hi, where span - (t_i - lo) can round to 0
         logs = np.empty(m + 1)
         logs[0] = span
-        np.subtract(span, arr - lo, out=logs[1:])
+        np.subtract(hi, arr, out=logs[1:])
         np.log(logs, out=logs)
         f = logs[:-1] - logs[1:]
         f *= r[:0:-1]  # weights m + 1 - i
