@@ -43,23 +43,34 @@ GEO_HEADER = ["day", "seconds", "lon", "lat"]
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _read_rows(path: str | Path, header: list[str]) -> list[list[str]]:
+def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """The records after the header, each with the line it starts on.
+
+    A quoted field may span lines, so records and lines are counted apart.
+    """
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
+        start = 1
+        try:
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {start}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
-    got = [c.strip() for c in rows[0]]
+    got = [c.strip() for c in rows[0][1]]
     if got != header:
         raise ValueError(f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(got)!r}")
     return rows[1:]
 
 
 def _parse_event_rows(
-    rows: list[list[str]], n_cols: int, window: TimeWindow, path: str | Path
+    rows: list[tuple[int, list[str]]], n_cols: int, window: TimeWindow, path: str | Path
 ) -> list[tuple]:
     parsed = []
-    for i, row in enumerate(rows, start=2):
+    for i, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != n_cols:
@@ -174,11 +185,12 @@ def load_geo_events(path: str | Path, window: TimeWindow | None = None) -> GeoEv
     """Read a ``day,seconds,lon,lat`` CSV."""
     window = window or TimeWindow(0.0, 86400.0)
     day, (seconds, lon, lat) = _read_events(path, GEO_HEADER, window)
-    # day ids go through float64, so ids beyond 2**53 round on both paths
-    # exactly as earlier versions rounded them
-    return GeoEventSeries(
-        day=np.asarray(day, dtype=float).astype(int), seconds=seconds, lon=lon, lat=lat, window=window
-    )
+    # ids past 2**53 merged when this read them through float64, so reject
+    # them; every id within it reads as the same int64 either way
+    beyond = (day > 2**53) | (day < -(2**53))
+    if beyond.any():
+        raise ValueError(f"{path}: day id {day[beyond.argmax()]} is beyond ±2**53")
+    return GeoEventSeries(day=day.astype(int), seconds=seconds, lon=lon, lat=lat, window=window)
 
 
 def save_geo_events(geo: GeoEventSeries, path: str | Path) -> None:

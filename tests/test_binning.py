@@ -227,6 +227,10 @@ def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, re
     want = penalized if method == "tikhonov" else binned_risk(sizes, risks)
     np.testing.assert_allclose(trace.best_risk, want, rtol=1e-9)
     np.testing.assert_allclose(trace.best_penalized, penalized, rtol=1e-9)
+    # the best state may be the root; the last state has every split in it
+    last = trace.entries[-1]
+    _, risks, sizes = fit_partition(counts, Partition(W, last.knots), fit)
+    np.testing.assert_allclose(last.risk, binned_risk(sizes, risks), rtol=1e-9)
 
 
 def test_max_bins_budget_is_respected():

@@ -195,6 +195,15 @@ def test_errors_exit_nonzero(runner, tmp_path):
     assert "unknown method 'bogus'" in result.output
 
 
+def test_field_over_the_size_limit_is_a_clean_error(runner, tmp_path):
+    long = tmp_path / "long.csv"
+    long.write_text("day,seconds\n0," + "0" * 140_000 + "1.5\n")
+    result = runner.invoke(main, ["learn", "--input", str(long), "--method", "equal:2"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"{long}: line 2: field larger than field limit" in result.output
+
+
 def test_learn_relaxed_requires_eta(runner, tmp_path):
     good = tmp_path / "ok.csv"
     good.write_text("day,seconds\n" + "\n".join(f"0,{t}.0" for t in range(100, 5000, 40)) + "\n")

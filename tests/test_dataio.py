@@ -84,6 +84,21 @@ def test_events_bad_rows_report_line_numbers(tmp_path):
         load_events(path)
 
 
+def test_row_errors_name_the_line_a_record_starts_on(tmp_path):
+    # a quoted field spanning two lines makes three records of four lines
+    path = tmp_path / "rows.csv"
+    path.write_text('day,seconds\n0,"1\n"\n0,abc\n')
+    with pytest.raises(ValueError, match=rf"{path}: line 4: could not convert string to float: 'abc'"):
+        load_events(path)
+
+
+def test_field_over_the_size_limit_names_file_and_line(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("day,seconds\n0,1.0\n0," + "0" * 140_000 + "1.5\n")
+    with pytest.raises(ValueError, match=rf"{path}: line 3: field larger than field limit"):
+        load_events(path)
+
+
 def test_events_blank_lines_skipped(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("day,seconds\n0,10.0\n\n0,20.0\n")
@@ -170,6 +185,9 @@ def load_geo_events_by_rows(path, window):
     rows = _parse_event_rows(_read_rows(path, GEO_HEADER), 4, window, path)
     if not rows:
         raise ValueError(f"{path}: no event rows")
+    for day, *_ in rows:
+        if abs(day) > 2**53:
+            raise ValueError(f"{path}: day id {day} is beyond ±2**53")
     arr = np.asarray(rows, dtype=float)
     return GeoEventSeries(
         day=arr[:, 0].astype(int), seconds=arr[:, 1], lon=arr[:, 2], lat=arr[:, 3], window=window
@@ -319,9 +337,7 @@ def test_load_geo_events_equals_row_parser(tmp_path, case):
     text, window = case
     path = tmp_path / "geo.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with np.errstate(invalid="ignore"):  # day ids beyond int64 overflow the same way in both
-        got, want = outcome(load_geo_events, path, window), outcome(load_geo_events_by_rows, path, window)
-    assert_same_outcome(got, want)
+    assert_same_outcome(outcome(load_geo_events, path, window), outcome(load_geo_events_by_rows, path, window))
 
 
 @pytest.mark.parametrize("body", [
@@ -403,6 +419,23 @@ def test_geo_round_trip(tmp_path):
     np.testing.assert_array_equal(back.seconds, geo.seconds)
     np.testing.assert_array_equal(back.lon, geo.lon)
     np.testing.assert_array_equal(back.lat, geo.lat)
+
+
+@pytest.mark.parametrize("extra", ["", " \n"], ids=["bulk", "rows"])
+@pytest.mark.parametrize("day", [2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)])
+def test_geo_day_ids_beyond_2_53_are_named(tmp_path, extra, day):
+    # through float64 they would merge with a neighbour or wrap
+    path = tmp_path / "geo.csv"
+    path.write_text(f"day,seconds,lon,lat\n{extra}0,1.0,0.0,0.0\n{day},2.0,0.0,0.0\n")
+    with pytest.raises(ValueError, match=rf"{path}: day id {day} is beyond ±2\*\*53"):
+        load_geo_events(path)
+
+
+@pytest.mark.parametrize("extra", ["", " \n"], ids=["bulk", "rows"])
+def test_geo_day_ids_up_to_2_53_load_exactly(tmp_path, extra):
+    path = tmp_path / "geo.csv"
+    path.write_text(f"day,seconds,lon,lat\n{extra}{2**53},1.0,0.0,0.0\n{-(2**53)},2.0,0.0,0.0\n3,3.0,0.0,0.0\n")
+    assert load_geo_events(path).day.tolist() == [2**53, -(2**53), 3]
 
 
 def test_geo_header_checked(tmp_path):
