@@ -185,8 +185,8 @@ def load_geo_events(path: str | Path, window: TimeWindow | None = None) -> GeoEv
     """Read a ``day,seconds,lon,lat`` CSV."""
     window = window or TimeWindow(0.0, 86400.0)
     day, (seconds, lon, lat) = _read_events(path, GEO_HEADER, window)
-    # ids past 2**53 merged when this read them through float64, so reject
-    # them; every id within it reads as the same int64 either way
+    # an id past ±2**53 has no exact float64, the type earlier versions read
+    # ids through; reject it by name rather than load it another way
     beyond = (day > 2**53) | (day < -(2**53))
     if beyond.any():
         raise ValueError(f"{path}: day id {day[beyond.argmax()]} is beyond ±2**53")
