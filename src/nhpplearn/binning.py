@@ -7,9 +7,10 @@ worst-fit-first (highest per-cell risk next), so a tight bin budget flows to
 the stretches the current fit explains worst:
 
 * ``ivanov``: a candidate split is probed with per-day homogeneity tests on
-  both halves.  While a half still fails, the interval gets refined; an
-  interval becomes a leaf once probes keep producing two passing halves
-  (the binning constraint: final bins look homogeneous-Poisson).
+  both halves, the left first; a failing left half settles the probe, so the
+  right half is then not tested.  While a half still fails, the interval gets
+  refined; an interval becomes a leaf once probes keep producing two passing
+  halves (the binning constraint: final bins look homogeneous-Poisson).
 * ``tikhonov``: no tests; every probe splits, and the best partition is
   tracked under the length-weighted penalized risk.
 * ``relaxed``: no tests; intervals divide unconditionally until their
@@ -76,7 +77,7 @@ class SearchConfig:
             raise ValueError("gamma must be nonnegative")
         if self.eta_seconds is not None and self.eta_seconds <= 0:
             raise ValueError("eta_seconds must be positive")
-        check_test_settings(self.test_method, self.test_mode)
+        check_test_settings(self.test_method, self.test_mode, self.min_pass_fraction)
 
 
 @dataclass(frozen=True)
@@ -248,14 +249,20 @@ class _SearchEngine:
 
     def _test_halves(
         self, days: list[np.ndarray], lo: float, hi: float, p: float
-    ) -> tuple[MultiDayOutcome, MultiDayOutcome]:
-        """Test [lo, p) and [p, hi), given ``days`` = ``_day_slices(lo, hi)``."""
+    ) -> tuple[MultiDayOutcome, MultiDayOutcome | None]:
+        """Test [lo, p), then [p, hi) only if [lo, p) passed; ``days`` = ``_day_slices(lo, hi)``.
+
+        A probe splits when either half fails, so a failing left half settles
+        it and the right half comes back as None.
+        """
         cfg = self.config
         cuts = [arr.searchsorted(p) for arr in days]
         left = poisson_test_days(
             [arr[:c] for arr, c in zip(days, cuts)], lo, p,
             cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction,
         )
+        if not left.passed:
+            return left, None
         right = poisson_test_days(
             [arr[c:] for arr, c in zip(days, cuts)], p, hi,
             cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction,
@@ -299,8 +306,8 @@ class _SearchEngine:
             tests = {}
             if days is not None:
                 left, right = self._test_halves(days, lo, hi, p)
-                tests = {"left_test": left.to_dict(), "right_test": right.to_dict()}
-                if left.passed and right.passed:
+                tests = {"left_test": left.to_dict(), "right_test": None if right is None else right.to_dict()}
+                if right is not None and right.passed:
                     # both halves look homogeneous; spend a retry hunting for
                     # a split point that still exposes structure
                     self._record(
@@ -341,14 +348,17 @@ def divide(
 
 def parse_method(method: str) -> tuple[str, int | None]:
     """Split a method string into (kind, equal-bin count)."""
-    if method.startswith("equal:"):
-        n = int(method.split(":", 1)[1])
+    if method in DIVIDERS:
+        return method, None
+    kind, _, count = method.partition(":")
+    if kind == "equal" and count.isdecimal():
+        n = int(count)
         if n < 1:
             raise ValueError("equal:N needs N >= 1")
         return "equal", n
-    if method in DIVIDERS:
-        return method, None
-    raise ValueError(f"unknown method '{method}'")
+    raise ValueError(
+        f"unknown method '{method}' (expected ivanov, tikhonov, relaxed or equal:N with N a positive integer)"
+    )
 
 
 def learn(
@@ -371,6 +381,11 @@ def learn(
     fit_config = fit_config or FitConfig()
     config = config or SearchConfig()
     kind, n_equal = parse_method(method)
+    if kind == "equal" and n_equal > train_counts.n_cells:
+        raise ValueError(
+            f"method '{method}' asks for {n_equal} bins, more than the {train_counts.n_cells} cells "
+            "of the training window"
+        )
 
     if kind == "tikhonov" and config.gamma is None:
         gamma = _select_gamma(train_counts, fit_config, config)
@@ -382,45 +397,18 @@ def learn(
         traces: list[SearchTrace] = []
     else:
         best_partition, traces = _search_best(train_events, data, kind, fit_config, config)
-
-    model, risks, sizes = fit_partition(train_counts, best_partition, fit_config, data=data)
-    b_risk = binned_risk(sizes, risks)
-    p_risk = (
-        penalized_risk(sizes, risks, best_partition, config.gamma)
-        if config.gamma is not None
-        else None
-    )
-    rmse_train = evaluate(model, train_counts)
-    rmse_test = evaluate(model, test_counts) if test_counts is not None else None
-
-    report = FitReport(
-        method=method,
-        partition=best_partition,
-        model=model,
-        n_bins=best_partition.n_bins,
-        bin_sizes=tuple(int(v) for v in sizes),
-        binned_risk=b_risk,
-        rmse_train=rmse_train,
-        rmse_test=rmse_test,
-        seed=config.seed,
-        penalized_risk=p_risk,
-        gamma=config.gamma,
-        epsilon=config.epsilon,
-        eta_seconds=config.eta_seconds,
-    )
+    report = _score(method, best_partition, data, test_counts, fit_config, config)
 
     if compare_equal and kind != "equal":
-        baseline = learn(
-            None,
-            train_counts,
-            test_counts,
-            method=f"equal:{best_partition.n_bins}",
-            fit_config=fit_config,
-            config=config,
+        # the search may leave more bins than cells, which equal:N rejects,
+        # so the baseline is scored here rather than through learn
+        n_bins = best_partition.n_bins
+        baseline = _score(
+            f"equal:{n_bins}", equal_partition(train_counts.window, n_bins), data, test_counts, fit_config, config
         )
         improvement = None
-        if rmse_test is not None and baseline.rmse_test:
-            improvement = (baseline.rmse_test - rmse_test) * 100.0 / baseline.rmse_test
+        if report.rmse_test is not None and baseline.rmse_test:
+            improvement = (baseline.rmse_test - report.rmse_test) * 100.0 / baseline.rmse_test
         report = replace(
             report,
             equal_bins=baseline.n_bins,
@@ -432,6 +420,36 @@ def learn(
     if config.trace_path and traces:
         _write_trace(config.trace_path, traces)
     return report
+
+
+def _score(
+    method: str,
+    partition: Partition,
+    data: CellData,
+    test_counts: CountTable | None,
+    fit_config: FitConfig,
+    config: SearchConfig,
+) -> FitReport:
+    """Fit ``partition`` to the training counts behind ``data`` and score it."""
+    train_counts = data.table
+    model, risks, sizes = fit_partition(train_counts, partition, fit_config, data=data)
+    return FitReport(
+        method=method,
+        partition=partition,
+        model=model,
+        n_bins=partition.n_bins,
+        bin_sizes=tuple(int(v) for v in sizes),
+        binned_risk=binned_risk(sizes, risks),
+        rmse_train=evaluate(model, train_counts),
+        rmse_test=evaluate(model, test_counts) if test_counts is not None else None,
+        seed=config.seed,
+        penalized_risk=(
+            penalized_risk(sizes, risks, partition, config.gamma) if config.gamma is not None else None
+        ),
+        gamma=config.gamma,
+        epsilon=config.epsilon,
+        eta_seconds=config.eta_seconds,
+    )
 
 
 def _search_best(

@@ -91,8 +91,8 @@ def test_poisson(input_path, epsilon, method, mode, lo, hi):
     slices = [arr[arr.searchsorted(lo) : arr.searchsorted(hi)] for arr in series.days]
     outcome = poisson_test_days(slices, lo, hi, epsilon, method, mode)
     click.echo(
-        f"interval [{lo:g}, {hi:g})  days={outcome.n_days}  passed_days={outcome.n_passed}  "
-        f"required_fraction={outcome.required_fraction:.6g}"
+        f"interval [{lo:g}, {hi:g})  days={outcome.n_days}  tested_days={outcome.n_tested}  "
+        f"passed_days={outcome.n_passed}  required_fraction={outcome.required_fraction:.6g}"
     )
     click.echo(f"verdict: {'PASS' if outcome.passed else 'FAIL'}")
 

@@ -4,8 +4,9 @@ Event files carry a ``day,seconds`` header (``day,seconds,lon,lat`` for the
 geographic variant); day identifiers are mapped to dense indices in sorted
 order on load.  Model files serialize the partition, per-bin scaled
 coefficients and the cell resolution the rates are counted in; floats
-round-trip exactly through JSON.  A model file without ``resolution`` (one
-written before the field existed) loads with the resolution unknown.
+round-trip exactly through JSON.  A model file carries a schema ``version``;
+one without it (written before the field existed) is read as version 1.  A
+model file without ``resolution`` loads with the resolution unknown.
 
 An event file is read whole: one ``np.loadtxt`` call parses the body and the
 window check runs on the whole array.  The row parser (``_read_rows`` plus
@@ -200,12 +201,16 @@ def save_geo_events(geo: GeoEventSeries, path: str | Path) -> None:
         fh.write("".join([f"{day},{sec!r},{lon!r},{lat!r}\r\n" for day, sec, lon, lat in rows]))
 
 
+MODEL_VERSION = 1  # schema version that save_model writes and load_model reads
+
+
 def save_model(model: RateModel, path: str | Path) -> None:
     """Serialize a rate model; coefficients are bin-local [-1, 1] ascending powers.
 
     ``resolution`` is written when the model knows it.
     """
     payload = {
+        "version": MODEL_VERSION,
         "window": {"start": model.partition.window.start, "end": model.partition.window.end},
         "knots": list(model.partition.knots),
         "degree": model.degree,
@@ -222,6 +227,11 @@ def save_model(model: RateModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> RateModel:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: model file must hold a JSON object")
+    version = payload.get("version", MODEL_VERSION)  # files from before the field are version 1
+    if version != MODEL_VERSION or isinstance(version, bool):
+        raise ValueError(f"{path}: unsupported model version {version!r}")
     for key in ("window", "knots", "degree", "coefficients", "clamp"):
         if key not in payload:
             raise ValueError(f"{path}: model file missing field '{key}'")

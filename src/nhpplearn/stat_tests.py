@@ -21,6 +21,13 @@ what the plain formulas give.  That matters: the ivanov divider splits on
 these verdicts, and a statistic one ulp off at the critical value changes the
 partition.  Days are tested one at a time rather than concatenated: a day's
 arrays stay in cache, and one numpy pass over all days measured slower.
+
+``poisson_test_days`` in per-day mode decides rather than counts: it stops
+as soon as the verdict is settled, passing once the passing days reach the
+quota and failing once the quota can no longer be reached.  Its ``n_passed``
+counts the passing days among the ``n_tested`` days it looked at.  The quota
+comes from the same float comparison that judged the full pass fraction, so
+every verdict is the one an exhaustive loop would give.
 """
 
 from __future__ import annotations
@@ -154,38 +161,62 @@ _METHODS = ("log", "ks-uniform")
 _MODES = ("per-day", "pooled")
 
 
-def check_test_settings(method: str, mode: str) -> None:
-    """Reject an unknown test method or aggregation mode, naming the value."""
+def check_test_settings(method: str, mode: str, min_pass_fraction: float | None = None) -> None:
+    """Reject an unknown test method or aggregation mode, or a pass fraction outside [0, 1]."""
     if mode not in _MODES:
         raise ValueError(f"unknown aggregation mode '{mode}' (expected 'per-day' or 'pooled')")
     if method not in _METHODS:
         raise ValueError(f"unknown test method '{method}' (expected 'log' or 'ks-uniform')")
+    if min_pass_fraction is not None and not (0.0 <= min_pass_fraction <= 1.0):  # NaN fails too
+        raise ValueError(f"min_pass_fraction must be in [0, 1], got {min_pass_fraction!r}")
 
 
 @dataclass(frozen=True)
 class MultiDayOutcome:
-    """Aggregate verdict over per-day tests of one interval."""
+    """Aggregate verdict over per-day tests of one interval.
+
+    ``n_passed`` counts the passing days among the first ``n_tested`` of the
+    ``n_days``; per-day mode stops testing once the verdict is settled.
+    """
 
     passed: bool
     n_days: int
+    n_tested: int
     n_passed: int
     required_fraction: float
     epsilon: float
     method: str
     mode: str
 
-    @property
-    def pass_fraction(self) -> float:
-        return 1.0 if self.n_days == 0 else self.n_passed / self.n_days
-
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
             "n_days": self.n_days,
+            "n_tested": self.n_tested,
             "n_passed": self.n_passed,
             "required_fraction": self.required_fraction,
             "mode": self.mode,
         }
+
+
+def _quota(n_days: int, threshold: float) -> int:
+    """Fewest passing days whose fraction clears ``threshold``; ``n_days + 1`` if none does.
+
+    The check is the float comparison of the pass fraction itself, so a day
+    count meets the quota exactly when its fraction would have passed.
+    """
+    bar = threshold - 1e-12
+
+    def clears(k: int) -> bool:
+        return (1.0 if n_days == 0 else k / n_days) >= bar
+
+    # the fraction is monotone in k: start at the ceiling, step to the least k that clears
+    k = min(max(math.ceil(bar * n_days), 0), n_days)
+    while k > 0 and clears(k - 1):
+        k -= 1
+    while k <= n_days and not clears(k):
+        k += 1
+    return k
 
 
 def poisson_test_days(
@@ -199,25 +230,28 @@ def poisson_test_days(
 ) -> MultiDayOutcome:
     """Test one interval across repeated days.
 
-    ``per-day`` tests each day separately and passes when the fraction of
-    passing days reaches ``min_pass_fraction`` (default 1 - 2 * epsilon);
-    ``pooled`` merges all days into one sample first.
+    ``per-day`` tests days in order and passes when the fraction of passing
+    days reaches ``min_pass_fraction`` (default 1 - 2 * epsilon); it stops
+    at the first day that settles the verdict, so days after it are neither
+    tested nor validated.  ``pooled`` merges all days into one sample first.
     """
-    check_test_settings(method, mode)
+    check_test_settings(method, mode, min_pass_fraction)
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must be in (0, 1)")
     n_days = len(day_arrivals)
     log = method == "log"
     if mode == "pooled":
         merged = np.concatenate([np.asarray(a, dtype=float) for a in day_arrivals]) if n_days else np.empty(0)
         passed = _outcome(*_day_statistic(merged, lo, hi, log), epsilon, method).passed
-        return MultiDayOutcome(passed, n_days, n_days if passed else 0, 1.0, epsilon, method, mode)
+        return MultiDayOutcome(passed, n_days, n_days, n_days if passed else 0, 1.0, epsilon, method, mode)
     threshold = (1.0 - 2.0 * epsilon) if min_pass_fraction is None else min_pass_fraction
-    n_passed = 0
-    for arrivals in day_arrivals:
-        stat, m = _day_statistic(arrivals, lo, hi, log)
+    quota = _quota(n_days, threshold)
+    slack = n_days - quota  # failing days the interval can afford
+    n_passed = n_tested = 0
+    while n_passed < quota and n_tested - n_passed <= slack:
+        stat, m = _day_statistic(day_arrivals[n_tested], lo, hi, log)
+        n_tested += 1
         # the verdict of _outcome, without building one per day
         if m == 0 or stat <= ks_critical(m, epsilon) or m == 1:
             n_passed += 1
-    frac = 1.0 if n_days == 0 else n_passed / n_days
-    return MultiDayOutcome(
-        bool(frac >= threshold - 1e-12), n_days, n_passed, threshold, epsilon, method, mode
-    )
+    return MultiDayOutcome(n_passed >= quota, n_days, n_tested, n_passed, threshold, epsilon, method, mode)

@@ -63,6 +63,12 @@ def test_parse_method_forms():
         parse_method("equal:0")
     with pytest.raises(ValueError, match="unknown method 'dbm'"):
         parse_method("dbm")
+    for bad in ("equal:abc", "equal:", "equal:-2", "equal"):
+        with pytest.raises(ValueError) as info:
+            parse_method(bad)
+        assert str(info.value) == (
+            f"unknown method '{bad}' (expected ivanov, tikhonov, relaxed or equal:N with N a positive integer)"
+        )
 
 
 def test_search_config_validation():
@@ -76,6 +82,10 @@ def test_search_config_validation():
         SearchConfig(gamma=-1.0)
     with pytest.raises(ValueError, match="eta_seconds"):
         SearchConfig(eta_seconds=0.0)
+    for bad in (math.nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match="min_pass_fraction must be in"):
+            SearchConfig(min_pass_fraction=bad)
+    assert SearchConfig(min_pass_fraction=1.0).min_pass_fraction == 1.0
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -160,7 +170,9 @@ def test_ivanov_split_entries_carry_failing_half():
     splits = [e for e in trace.entries if e.kind == "split"]
     assert splits
     for e in splits:
-        assert e.left_test is not None and e.right_test is not None
+        assert e.left_test is not None
+        # a failing left half settles the probe: the right half is not tested
+        assert (e.right_test is None) == (not e.left_test["passed"])
         assert not (e.left_test["passed"] and e.right_test["passed"])
 
 
@@ -192,13 +204,19 @@ def test_probe_halves_equal_tests_of_masked_days():
     counts = CountTable.from_events(series, 300.0)
     engine = _SearchEngine(CellData(counts), series, "ivanov", FitConfig(), SearchConfig())
     t = series.days[1]
+    left_failed = 0
     for lo, hi in ((0.0, 86400.0), (3600.0, 7200.0), (t[10], t[300])):
         days = engine._day_slices(lo, hi)
         inside = t[(t > lo) & (t < hi)]
         for p in (0.5 * (lo + hi), inside[inside.size // 2], float(np.nextafter(lo, hi))):
             left, right = engine._test_halves(days, lo, hi, p)
             assert left == poisson_test_days([a[(a >= lo) & (a < p)] for a in series.days], lo, p)
+            if not left.passed:
+                assert right is None  # the probe splits whatever the right half would say
+                left_failed += 1
+                continue
             assert right == poisson_test_days([a[(a >= p) & (a < hi)] for a in series.days], p, hi)
+    assert 0 < left_failed < 9  # both branches ran
 
 
 # --- bookkeeping and budgets --------------------------------------------------
@@ -275,6 +293,26 @@ def test_learn_equal_method_reports_requested_bins():
     assert rep.method == "equal:6"
     assert rep.rmse_test is None
     assert sum(rep.bin_sizes) == counts.counts.size
+
+
+def test_learn_equal_bins_are_capped_by_the_cell_count():
+    counts = CountTable.from_events(uniform_series(2, 200), 300.0)
+    assert learn(None, counts, method=f"equal:{counts.n_cells}").n_bins == counts.n_cells
+    n = counts.n_cells
+    with pytest.raises(ValueError, match=f"asks for {n + 1} bins, more than the {n} cells"):
+        learn(None, counts, method=f"equal:{n + 1}")
+
+
+def test_learn_baseline_may_have_more_bins_than_cells():
+    # the cap is on requests: a search that leaves more bins than cells still
+    # gets its equal-length baseline
+    events = uniform_series(4, 300, seed=0)
+    counts = CountTable.from_events(events, 3600.0)
+    cfg = SearchConfig(max_bins=64, max_depth=10, max_restarts=1, gamma=1e-6)
+    rep = learn(None, counts, counts, method="tikhonov", config=cfg, compare_equal=True)
+    assert rep.n_bins > counts.n_cells
+    assert rep.equal_bins == rep.n_bins
+    assert math.isfinite(rep.equal_rmse_test)
 
 
 def test_learn_requires_events_for_ivanov():

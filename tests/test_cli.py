@@ -132,7 +132,7 @@ def test_test_poisson_verdicts(runner, tmp_path):
     series = load_events(tmp_path / "train.csv")
     masked = [arr[(arr >= 36000.0) & (arr < 39600.0)] for arr in series.days]
     want = poisson_test_days(masked, 36000.0, 39600.0)
-    assert f"passed_days={want.n_passed} " in result.output
+    assert f"tested_days={want.n_tested}  passed_days={want.n_passed} " in result.output
     assert f"verdict: {'PASS' if want.passed else 'FAIL'}" in result.output
 
 
@@ -193,6 +193,14 @@ def test_errors_exit_nonzero(runner, tmp_path):
     result = runner.invoke(main, ["learn", "--input", str(good), "--method", "bogus"])
     assert result.exit_code != 0
     assert "unknown method 'bogus'" in result.output
+    # so does an equal:N whose N is not a number, or is more than the cells
+    result = runner.invoke(main, ["learn", "--input", str(good), "--method", "equal:abc"])
+    assert result.exit_code == 1
+    assert "unknown method 'equal:abc' (expected ivanov, tikhonov, relaxed or equal:N" in result.output
+    result = runner.invoke(main, ["learn", "--input", str(good), "--method", "equal:289"])
+    assert result.exit_code == 1
+    assert "asks for 289 bins, more than the 288 cells of the training window" in result.output
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_field_over_the_size_limit_is_a_clean_error(runner, tmp_path):

@@ -495,7 +495,8 @@ def test_model_file_is_plain_json(tmp_path):
     path = tmp_path / "model.json"
     save_model(make_model(), path)
     payload = json.loads(path.read_text())
-    assert set(payload) == {"window", "knots", "degree", "coefficients", "clamp"}
+    assert set(payload) == {"version", "window", "knots", "degree", "coefficients", "clamp"}
+    assert payload["version"] == 1
     assert payload["degree"] == 1
     assert len(payload["coefficients"]) == 3
 
@@ -513,6 +514,36 @@ def test_model_file_without_resolution_still_loads(tmp_path):
     save_model(make_model(), path)
     assert "resolution" not in json.loads(path.read_text())
     assert load_model(path).resolution is None
+
+
+def test_model_file_without_version_still_loads(tmp_path):
+    # files written before the field existed are version 1
+    path = tmp_path / "model.json"
+    save_model(make_model(), path)
+    payload = json.loads(path.read_text())
+    del payload["version"]
+    path.write_text(json.dumps(payload))
+    back = load_model(path)
+    assert back.partition == make_model().partition
+    assert back.coefficients.tobytes() == make_model().coefficients.tobytes()
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", True, None])
+def test_model_other_versions_rejected(tmp_path, version):
+    path = tmp_path / "model.json"
+    save_model(make_model(), path)
+    payload = json.loads(path.read_text())
+    payload["version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"model.json: unsupported model version {version!r}"):
+        load_model(path)
+
+
+def test_model_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="model.json: model file must hold a JSON object"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("value", [0, -60.0, "60", True])

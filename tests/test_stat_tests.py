@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nhpplearn import ks_critical, ks_statistic, log_test, poisson_test_days
 from nhpplearn.stat_tests import TestOutcome as Outcome
-from nhpplearn.stat_tests import uniform_ks_test
+from nhpplearn.stat_tests import _quota, uniform_ks_test
 
 
 # --- the straightforward per-day code, kept as the oracle ---------------------
@@ -283,15 +283,36 @@ def _random_days(rng, n_days, lo, hi, size):
     return [np.sort(rng.uniform(lo, hi, size=size)) for _ in range(n_days)]
 
 
+def _fraction(k, n_days):
+    # the pass fraction exactly as the exhaustive loop computed it
+    return 1.0 if n_days == 0 else k / n_days
+
+
+def assert_decides_like_loop(out, verdicts, threshold):
+    """``out`` has the exhaustive loop's verdict and stopped at the first settled day."""
+    n_days = len(verdicts)
+    bar = threshold - 1e-12
+
+    def settled(tested):
+        passes = sum(verdicts[:tested])
+        return _fraction(passes, n_days) >= bar or _fraction(passes + n_days - tested, n_days) < bar
+
+    assert out.n_days == n_days
+    assert out.passed == (_fraction(sum(verdicts), n_days) >= bar)
+    assert 0 <= out.n_tested <= n_days
+    assert out.n_passed == sum(verdicts[: out.n_tested])
+    assert settled(out.n_tested)
+    if out.n_tested:
+        assert not settled(out.n_tested - 1)  # the stop is minimal
+
+
 def test_per_day_majority_matches_loop_oracle():
     rng = np.random.default_rng(31)
     days = _random_days(rng, 25, 0.0, 50.0, 40)
     out = poisson_test_days(days, 0.0, 50.0, epsilon=0.05)
     per_day = [log_test(d, 0.0, 50.0, 0.05).passed for d in days]
-    assert out.n_days == 25
-    assert out.n_passed == sum(per_day)
     assert out.required_fraction == pytest.approx(0.9)
-    assert out.passed == (out.pass_fraction >= 0.9 - 1e-12)
+    assert_decides_like_loop(out, per_day, 0.9)
 
 
 def test_min_pass_fraction_override():
@@ -316,30 +337,81 @@ def test_pooled_mode_equals_single_merged_test():
         poisson_test_days(days, 0.0, 20.0, mode="daily")
 
 
+@st.composite
+def pass_fractions(draw, n_days):
+    """None, the ends, arbitrary values, and values within the 1e-12 slack of k / n_days."""
+    k = draw(st.integers(0, max(n_days, 1)))
+    near = k / max(n_days, 1) + draw(st.sampled_from((-1e-12, -5e-13, -1e-13, 0.0, 1e-13, 5e-13, 1e-12)))
+    return draw(st.one_of(
+        st.sampled_from((None, 0.0, 1.0)),
+        st.floats(0.0, 1.0),
+        st.just((k + 0.5) / (max(n_days, 1) + 1)),
+        st.just(min(max(near, 0.0), 1.0)),
+    ))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
     n_days=st.integers(0, 6),
     method=st.sampled_from(sorted(ORACLES)),
     epsilon=st.sampled_from(EPSILONS),
-    min_pass_fraction=st.sampled_from((None, 0.0, 0.5, 1.0)),
 )
-def test_poisson_test_days_equals_oracle_loop(data, n_days, method, epsilon, min_pass_fraction):
+def test_poisson_test_days_equals_oracle_loop(data, n_days, method, epsilon):
     lo, hi = data.draw(intervals())
     days = [np.asarray(data.draw(arrivals_in(lo, hi, max_size=30)), dtype=float) for _ in range(n_days)]
+    min_pass_fraction = data.draw(pass_fractions(n_days))
     oracle = ORACLES[method][1]
 
     out = poisson_test_days(days, lo, hi, epsilon, method, "per-day", min_pass_fraction)
-    n_passed = sum(oracle(d, lo, hi, epsilon).passed for d in days)
     threshold = 1.0 - 2.0 * epsilon if min_pass_fraction is None else min_pass_fraction
-    frac = 1.0 if n_days == 0 else n_passed / n_days
-    assert (out.n_days, out.n_passed) == (n_days, n_passed)
-    assert out.passed == (frac >= threshold - 1e-12)
+    assert_decides_like_loop(out, [oracle(d, lo, hi, epsilon).passed for d in days], threshold)
 
     pooled = poisson_test_days(days, lo, hi, epsilon, method, "pooled")
     merged = oracle(np.concatenate(days) if days else [], lo, hi, epsilon)
     assert pooled.passed == merged.passed
+    assert pooled.n_tested == n_days
     assert pooled.n_passed == (n_days if merged.passed else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    verdicts=st.lists(st.booleans(), max_size=40),
+    method=st.sampled_from(sorted(ORACLES)),
+    epsilon=st.sampled_from(EPSILONS),
+)
+def test_per_day_mode_stops_once_the_verdict_is_settled(data, verdicts, method, epsilon):
+    # many days and thresholds, with each day's verdict fixed by construction:
+    # an empty day passes, five arrivals tied at lo fail
+    min_pass_fraction = data.draw(pass_fractions(len(verdicts)))
+    days = [np.empty(0) if ok else np.zeros(5) for ok in verdicts]
+    oracle = ORACLES[method][1]
+    assert [oracle(d, 0.0, 1.0, epsilon).passed for d in days] == verdicts
+
+    out = poisson_test_days(days, 0.0, 1.0, epsilon, method, "per-day", min_pass_fraction)
+    threshold = 1.0 - 2.0 * epsilon if min_pass_fraction is None else min_pass_fraction
+    assert_decides_like_loop(out, verdicts, threshold)
+
+
+def test_quota_is_the_fewest_days_whose_fraction_clears_the_bar():
+    # a scan over every day count is the oracle; near k / n_days the ceiling
+    # of (threshold - 1e-12) * n_days can overshoot by one (n_days=25, k=7)
+    for n_days in range(0, 61):
+        for k in range(0, n_days + 1):
+            for delta in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 1.5e-12, 2e-12, 0.5 / max(n_days, 1)):
+                threshold = min(max(_fraction(k, n_days) + delta, 0.0), 1.0)
+                clears = [_fraction(j, n_days) >= threshold - 1e-12 for j in range(n_days + 1)]
+                assert _quota(n_days, threshold) == clears.index(True), (n_days, k, delta)
+
+
+def test_quota_where_the_ceiling_overshoots():
+    # threshold 7/25 + 1e-12: seven passing days of 25 clear the bar
+    verdicts = [True] * 7 + [False] * 18
+    days = [np.empty(0) if ok else np.zeros(5) for ok in verdicts]
+    out = poisson_test_days(days, 0.0, 1.0, min_pass_fraction=7 / 25 + 1e-12)
+    assert out.passed and (out.n_tested, out.n_passed) == (7, 7)
+    assert_decides_like_loop(out, verdicts, 7 / 25 + 1e-12)
 
 
 def test_poisson_test_days_validation():
@@ -352,8 +424,15 @@ def test_poisson_test_days_validation():
     # the method is checked where it enters, before any day is looked at
     with pytest.raises(ValueError, match="unknown test method 'ad'"):
         poisson_test_days([], 0.0, 10.0, method="ad")
+    # so are the pass bar and epsilon, which an early stop might never reach
+    for bad in (math.nan, -0.1, 1.5):
+        for mode in ("per-day", "pooled"):
+            with pytest.raises(ValueError, match="min_pass_fraction must be in"):
+                poisson_test_days([np.array([1.0])], 0.0, 10.0, min_pass_fraction=bad, mode=mode)
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        poisson_test_days([np.array([1.0])], 0.0, 10.0, epsilon=1.5)
 
 
 def test_zero_days_pass_vacuously():
     out = poisson_test_days([], 0.0, 10.0)
-    assert out.passed and out.n_days == 0 and out.pass_fraction == 1.0
+    assert out.passed and (out.n_days, out.n_tested, out.n_passed) == (0, 0, 0)
