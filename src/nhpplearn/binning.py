@@ -11,8 +11,10 @@ the stretches the current fit explains worst:
   right half is then not tested.  While a half still fails, the interval gets
   refined; an interval becomes a leaf once probes keep producing two passing
   halves (the binning constraint: final bins look homogeneous-Poisson).
-* ``tikhonov``: no tests; every probe splits, and the best partition is
-  tracked under the length-weighted penalized risk.
+* ``tikhonov``: no tests; every probe splits.  ``gamma`` weights the
+  length-weighted penalty that picks the best visited state; it does not
+  change the search path (the queue is ordered by unpenalized risk), so one
+  run per restart serves every ``gamma`` of the selection grid.
 * ``relaxed``: no tests; intervals divide unconditionally until their
   length drops to twice the floor ``eta`` (used for bin-budget sweeps).
 
@@ -21,6 +23,7 @@ Across restarts, ``learn`` keeps the partition with the lowest training risk.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
@@ -105,12 +108,30 @@ class SearchTrace:
     method: str
     window: TimeWindow
     entries: list[TraceEntry] = field(default_factory=list)
+    penalty_sums: list[float] = field(default_factory=list)  # one per root or split entry
     best_knots: tuple[float, ...] = ()
     best_risk: float = math.inf
     best_penalized: float | None = None
 
     def best_partition(self) -> Partition:
         return Partition(window=self.window, knots=self.best_knots)
+
+    def best_state(self, gamma: float | None) -> tuple[tuple[float, ...], float, float | None]:
+        """The best visited state under ``gamma``: (knots, criterion, penalized risk).
+
+        The states are the root and each split, in order.  Tikhonov ranks
+        them by ``risk + gamma * penalty sum``, the other dividers by
+        ``risk``; the comparison is strict, so a tie keeps the earlier state.
+        """
+        best: tuple[tuple[float, ...], float, float | None] = ((), math.inf, None)
+        states = (e for e in self.entries if e.kind == "split" or e.kind == "root")
+        tikhonov = self.method == "tikhonov"
+        for entry, s_penalty in zip(states, self.penalty_sums):
+            penalized = None if gamma is None else entry.risk + gamma * s_penalty
+            value = penalized if tikhonov else entry.risk
+            if value < best[1]:
+                best = (entry.knots, value, penalized)
+        return best
 
 
 def equal_partition(window: TimeWindow, n_bins: int) -> Partition:
@@ -160,7 +181,7 @@ class _SearchEngine:
         self.m_total = data.total_points
         # registry: interval -> (risk, occupancy); current partition bins
         self.registry: dict[tuple[float, float], tuple[float, int]] = {}
-        self.knots: list[float] = []
+        self.knots: list[float] = []  # kept sorted
         self.s_weighted = 0.0  # sum of m_k * R_k over current bins
         self.s_penalty = 0.0  # sum of m_k * R_k / len_k over all bins but the last
         self.trace = SearchTrace(method=method, window=self.window)
@@ -185,21 +206,9 @@ class _SearchEngine:
             return None
         return self._risk8() + self.gamma * self.s_penalty
 
-    def _criterion(self) -> float:
-        if self.method == "tikhonov":
-            return self._risk9()
-        return self._risk8()
-
-    def _consider_best(self) -> None:
-        value = self._criterion()
-        if value < self.trace.best_risk:  # strict: ties keep the earlier partition
-            self.trace.best_risk = value
-            self.trace.best_knots = tuple(sorted(self.knots))
-            self.trace.best_penalized = self._risk9()
-
     def _record(self, **kwargs) -> None:
         entry = TraceEntry(
-            knots=tuple(sorted(self.knots)),
+            knots=tuple(self.knots),
             n_bins=len(self.registry),
             risk=self._risk8(),
             penalized=self._risk9(),
@@ -216,7 +225,7 @@ class _SearchEngine:
         self.s_weighted = m * risk
         self.s_penalty = self._penalty_term(lo, hi, risk, m)
         self._record(kind="root", interval=(lo, hi), proposed_knot=None, accepted=True, depth=0)
-        self._consider_best()
+        self.trace.penalty_sums.append(self.s_penalty)
         heap: list[tuple[float, int, float, float, int]] = []
         self._enqueue(heap, lo, hi, 0)
         while heap:
@@ -225,7 +234,9 @@ class _SearchEngine:
             if children is not None:
                 for c_lo, c_hi in children:
                     self._enqueue(heap, c_lo, c_hi, depth + 1)
-        return self.trace
+        trace = self.trace
+        trace.best_knots, trace.best_risk, trace.best_penalized = trace.best_state(self.gamma)
+        return trace
 
     def _enqueue(self, heap: list, lo: float, hi: float, depth: int) -> None:
         risk, _ = self.registry[(lo, hi)]
@@ -241,7 +252,7 @@ class _SearchEngine:
             self.registry[(a, b)] = (risk, m)
             self.s_weighted += m * risk
             self.s_penalty += self._penalty_term(a, b, risk, m)
-        self.knots.append(p)
+        bisect.insort(self.knots, p)
 
     def _day_slices(self, lo: float, hi: float) -> list[np.ndarray]:
         """Each day's arrivals in [lo, hi), as views of the sorted day arrays."""
@@ -321,7 +332,7 @@ class _SearchEngine:
                     continue
             self._split_interval(lo, hi, p)
             self._record(kind="split", interval=(lo, hi), proposed_knot=p, accepted=True, depth=depth, **tests)
-            self._consider_best()
+            self.trace.penalty_sums.append(self.s_penalty)
             return (lo, p), (p, hi)
 
 
@@ -396,7 +407,7 @@ def learn(
         best_partition = equal_partition(train_counts.window, n_equal)
         traces: list[SearchTrace] = []
     else:
-        best_partition, traces = _search_best(train_events, data, kind, fit_config, config)
+        (best_partition,), traces = _search_best(train_events, data, kind, fit_config, config, (config.gamma,))
     report = _score(method, best_partition, data, test_counts, fit_config, config)
 
     if compare_equal and kind != "equal":
@@ -458,18 +469,30 @@ def _search_best(
     kind: str,
     fit_config: FitConfig,
     config: SearchConfig,
-) -> tuple[Partition, list[SearchTrace]]:
-    best_score = math.inf
-    best_knots: tuple[float, ...] = ()
-    traces = []
-    for r in range(config.max_restarts):
-        trace = _SearchEngine(data, train_events, kind, fit_config, config, r).run()
-        traces.append(trace)
-        score = _outer_score(data, trace.best_knots, fit_config)
-        if score < best_score:
-            best_score = score
-            best_knots = trace.best_knots
-    return Partition(window=data.window, knots=best_knots), traces
+    gammas: Sequence[float | None],
+) -> tuple[list[Partition], list[SearchTrace]]:
+    """Run ``config.max_restarts`` searches, then pick a winning partition per gamma.
+
+    ``gamma`` only ranks the states a search visits, so one set of runs
+    serves every value in ``gammas``: each restart's best state under it is
+    scored by ``_outer_score``, and the lowest score wins (a tie keeps the
+    earlier restart).
+    """
+    traces = [
+        _SearchEngine(data, train_events, kind, fit_config, config, r).run() for r in range(config.max_restarts)
+    ]
+    winners = []
+    for gamma in gammas:
+        best_score = math.inf
+        best_knots: tuple[float, ...] = ()
+        for trace in traces:
+            knots = trace.best_state(gamma)[0]
+            score = _outer_score(data, knots, fit_config)
+            if score < best_score:
+                best_score = score
+                best_knots = knots
+        winners.append(Partition(window=data.window, knots=best_knots))
+    return winners, traces
 
 
 def _outer_score(data: CellData, knots: tuple[float, ...], fit_config: FitConfig) -> float:
@@ -490,7 +513,15 @@ def _outer_score(data: CellData, knots: tuple[float, ...], fit_config: FitConfig
 
 
 def _select_gamma(train_counts: CountTable, fit_config: FitConfig, config: SearchConfig) -> float:
-    """Grid-search the penalty weight on a held-out tail of training days."""
+    """Grid-search the penalty weight on a held-out tail of training days.
+
+    The first ``ceil(0.75 * n_days)`` days (all but one at most) are searched
+    once per restart, and every value of ``GAMMA_GRID`` picks its winner from
+    those runs.  Each winner is refitted on the same days and scored by RMSE
+    on the held-out ones; the lowest wins, the smaller gamma on a tie.  With
+    fewer than 2 training days nothing can be held out, and ``1e-2`` is
+    returned.
+    """
     n_days = train_counts.n_days
     if n_days < 2:
         return 1e-2
@@ -498,13 +529,17 @@ def _select_gamma(train_counts: CountTable, fit_config: FitConfig, config: Searc
     n_fit = min(n_fit, n_days - 1)
     fit_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[:n_fit])
     val_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[n_fit:])
+    data = CellData(fit_table)
+    # the runs need some gamma to fill their best state; which one does not matter
+    search_config = replace(config, gamma=GAMMA_GRID[0])
+    winners, _ = _search_best(None, data, "tikhonov", fit_config, search_config, GAMMA_GRID)
     best_gamma = GAMMA_GRID[0]
     best_rmse = math.inf
-    for gamma in GAMMA_GRID:
-        sub = replace(config, gamma=gamma, trace_path=None)
-        report = learn(None, fit_table, val_table, method="tikhonov", fit_config=fit_config, config=sub)
-        if report.rmse_test is not None and report.rmse_test < best_rmse:
-            best_rmse = report.rmse_test
+    for gamma, partition in zip(GAMMA_GRID, winners):
+        model, _, _ = fit_partition(fit_table, partition, fit_config, data=data)
+        rmse = evaluate(model, val_table)
+        if rmse < best_rmse:
+            best_rmse = rmse
             best_gamma = gamma
     return best_gamma
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -161,15 +163,23 @@ class SpatialFit:
     day_ids_test: tuple[int, ...]
 
 
-def _area_series(
-    geo: GeoEventSeries, labels: np.ndarray, area: int, day_ids: np.ndarray
-) -> EventSeries:
-    days = []
-    mask_area = labels == area
-    for d in day_ids:
-        sel = mask_area & (geo.day == d)
-        days.append(np.sort(geo.seconds[sel]))
-    return EventSeries(window=geo.window, days=tuple(days))
+def _area_series(geo: GeoEventSeries, labels: np.ndarray, k: int, day_ids: np.ndarray) -> Iterator[EventSeries]:
+    """Each area's arrivals on ``day_ids``: yields one series per area ``0..k-1``.
+
+    One stable sort groups the events by (area, day), so every group keeps
+    file order and sorting its seconds gives what masking the events would.
+    Series are made one area at a time, so only one area's arrays are alive.
+    """
+    order = np.lexsort((geo.day, labels))
+    area_starts = np.searchsorted(labels[order], np.arange(k + 1))
+    for a in range(k):
+        members = order[area_starts[a] : area_starts[a + 1]]
+        day_of = geo.day[members]
+        seconds = geo.seconds[members]
+        starts = np.searchsorted(day_of, day_ids, side="left")
+        ends = np.searchsorted(day_of, day_ids, side="right")
+        days = tuple(np.sort(seconds[i:j]) for i, j in zip(starts, ends))
+        yield EventSeries(window=geo.window, days=days)
 
 
 def learn_per_area(
@@ -198,18 +208,15 @@ def learn_per_area(
     result = kmeans(np.column_stack((geo.lon, geo.lat)), k, seed=config.seed)
     labels = result.labels
 
+    train_series = _area_series(geo, labels, k, train_ids)
+    test_series = _area_series(geo, labels, k, test_ids) if test_ids.size else repeat(None)
     reports = []
-    events_per_area = []
-    for a in range(k):
-        train_series = _area_series(geo, labels, a, train_ids)
-        train_table = CountTable.from_events(train_series, resolution)
-        test_table = None
-        if test_ids.size:
-            test_series = _area_series(geo, labels, a, test_ids)
-            test_table = CountTable.from_events(test_series, resolution)
+    for a, train, test in zip(range(k), train_series, test_series):
+        train_table = CountTable.from_events(train, resolution)
+        test_table = None if test is None else CountTable.from_events(test, resolution)
         area_config = replace(config, seed=config.seed + a, trace_path=None)
         report = learn(
-            train_series,
+            train,
             train_table,
             test_table,
             method=method,
@@ -217,11 +224,10 @@ def learn_per_area(
             config=area_config,
         )
         reports.append(report)
-        events_per_area.append(int(np.sum(labels == a)))
     return SpatialFit(
         clustering=result,
         reports=tuple(reports),
-        events_per_area=tuple(events_per_area),
+        events_per_area=tuple(int(n) for n in np.bincount(labels, minlength=k)),
         day_ids_train=tuple(int(d) for d in train_ids),
         day_ids_test=tuple(int(d) for d in test_ids),
     )

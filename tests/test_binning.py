@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,10 +246,24 @@ def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, re
     want = penalized if method == "tikhonov" else binned_risk(sizes, risks)
     np.testing.assert_allclose(trace.best_risk, want, rtol=1e-9)
     np.testing.assert_allclose(trace.best_penalized, penalized, rtol=1e-9)
+    # knots are inserted in order, so every entry holds them sorted and distinct
+    for entry in trace.entries:
+        assert list(entry.knots) == sorted(set(entry.knots))
     # the best state may be the root; the last state has every split in it
     last = trace.entries[-1]
     _, risks, sizes = fit_partition(counts, Partition(W, last.knots), fit)
     np.testing.assert_allclose(last.risk, binned_risk(sizes, risks), rtol=1e-9)
+
+
+@pytest.mark.parametrize("method", ["tikhonov", "relaxed"])
+def test_ties_keep_the_earliest_state(method):
+    # zero counts fit exactly, so every visited state ties with the root at 0
+    counts = CountTable(W, 300.0, np.zeros((2, 288)))
+    cfg = SearchConfig(max_depth=4, max_bins=8, gamma=1e-2, eta_seconds=600.0)
+    trace = divide(method, counts, None, FitConfig(degree=1), cfg)
+    assert sum(e.kind == "split" for e in trace.entries) > 0
+    assert trace.best_knots == ()
+    assert trace.best_state(1.0) == ((), 0.0, 0.0)
 
 
 def test_max_bins_budget_is_respected():
@@ -329,6 +344,79 @@ def test_learn_gamma_autoselection_uses_grid():
     assert rep.gamma in GAMMA_GRID
     assert rep.penalized_risk is not None
     assert rep.penalized_risk >= rep.binned_risk  # penalty only adds
+
+
+def test_learn_one_day_tikhonov_falls_back_to_gamma_1e_2():
+    # one training day leaves none to hold out, so no grid value is scored
+    counts = CountTable.from_events(steep_series(1, 200, seed=5), 300.0)
+    rep = learn(None, counts, method="tikhonov", fit_config=FitConfig(degree=1),
+                config=SearchConfig(max_depth=4, max_bins=6, max_restarts=2))
+    assert rep.gamma == 0.01
+
+
+def select_gamma_by_learn(train_counts, fit_config, config):
+    # one full learn per grid value on the held-out split: the oracle for the
+    # selection that scores every gamma from one search per restart
+    n_days = train_counts.n_days
+    n_fit = min(max(1, math.ceil(0.75 * n_days)), n_days - 1)
+    fit_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[:n_fit])
+    val_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[n_fit:])
+    best_gamma, best_rmse = GAMMA_GRID[0], math.inf
+    for g in GAMMA_GRID:
+        sub = replace(config, gamma=g)
+        rep = learn(None, fit_table, val_table, method="tikhonov", fit_config=fit_config, config=sub)
+        if rep.rmse_test < best_rmse:
+            best_gamma, best_rmse = g, rep.rmse_test
+    return best_gamma
+
+
+def bits(*values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_days=st.integers(2, 6),
+    degree=st.integers(0, 3),
+    restarts=st.integers(1, 3),
+    steep=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_gamma_selection_equals_one_learn_per_grid_value(seed, n_days, degree, restarts, steep):
+    # sparse days on a fine grid, so the selection lands on both ends of the grid
+    events = (steep_series if steep else uniform_series)(n_days, 100, seed=seed)
+    counts = CountTable.from_events(events, 300.0)
+    test = CountTable.from_events(steep_series(2, 100, seed=seed + 1), 300.0)
+    fit = FitConfig(degree=degree)
+    cfg = SearchConfig(max_depth=8, max_bins=24, max_restarts=restarts, seed=seed)
+    gamma = select_gamma_by_learn(counts, fit, cfg)
+    want = learn(None, counts, test, method="tikhonov", fit_config=fit, config=replace(cfg, gamma=gamma))
+    got = learn(None, counts, test, method="tikhonov", fit_config=fit, config=cfg)
+    assert got.gamma == gamma
+    assert bits(*got.partition.knots) == bits(*want.partition.knots)
+    assert bits(got.rmse_train, got.rmse_test, got.penalized_risk) == bits(
+        want.rmse_train, want.rmse_test, want.penalized_risk
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tikhonov_search_path_does_not_depend_on_gamma(seed):
+    events = steep_series(3, 250, seed=seed)
+    counts = CountTable.from_events(events, 300.0)
+    fit = FitConfig(degree=1)
+    cfg = SearchConfig(max_depth=6, max_bins=16, seed=seed)
+    runs = {g: divide("tikhonov", counts, None, fit, replace(cfg, gamma=g), restart_index=seed) for g in (1e-7, 0.3)}
+    small, large = runs.values()
+    # every event matches but the penalized risk, which is reported under each run's gamma
+    assert [replace(e, penalized=None) for e in small.entries] == [replace(e, penalized=None) for e in large.entries]
+    assert small.penalty_sums == large.penalty_sums
+    # gamma only picks the best visited state, and here it picks a different one
+    assert small.best_knots != large.best_knots
+    for g, run in runs.items():
+        other = large if run is small else small
+        knots, risk, penalized = other.best_state(g)
+        assert bits(*knots) == bits(*run.best_knots)
+        assert bits(risk, penalized) == bits(run.best_risk, run.best_penalized)
 
 
 def test_learn_compare_equal_attaches_consistent_baseline():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhpplearn import (
     AreaPartition,
@@ -13,6 +15,7 @@ from nhpplearn import (
     kmeans,
     learn_per_area,
 )
+from nhpplearn.spatial import _area_series
 
 
 def three_blobs(seed=0, per_blob=20):
@@ -128,6 +131,56 @@ def synthetic_geo(seed=0, n_days=3, per_day=240):
         lon.extend(xy[:, 0].tolist())
         lat.extend(xy[:, 1].tolist())
     return GeoEventSeries(day=np.array(day), seconds=np.array(sec), lon=np.array(lon), lat=np.array(lat))
+
+
+def area_series_by_masks(geo, labels, area, day_ids):
+    # one mask per (area, day): the oracle for the grouped _area_series
+    days = []
+    mask_area = labels == area
+    for d in day_ids:
+        sel = mask_area & (geo.day == d)
+        days.append(np.sort(geo.seconds[sel]))
+    return days
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_events=st.integers(1, 80),
+    k=st.integers(1, 6),
+    n_day_ids=st.integers(1, 5),
+)
+@settings(max_examples=80, deadline=None)
+def test_area_series_equals_mask_loop(seed, n_events, k, n_day_ids):
+    rng = np.random.default_rng(seed)
+    # few labels and days, repeated seconds (+0.0 and -0.0 among them), so
+    # groups hold ties while some areas and some (area, day) pairs stay empty
+    labels = rng.integers(0, max(1, k - 1), size=n_events)
+    day = rng.integers(-2, 4, size=n_events)
+    ties = rng.choice([-0.0, 0.0, 5.0, 86399.0], size=n_events)
+    seconds = np.where(rng.random(n_events) < 0.5, ties, rng.uniform(0.0, 86400.0, size=n_events))
+    geo = GeoEventSeries(day=day, seconds=seconds, lon=np.zeros(n_events), lat=np.zeros(n_events))
+    day_ids = rng.integers(-3, 6, size=n_day_ids)  # may repeat, and may name days with no events
+    got = list(_area_series(geo, labels, k, day_ids))
+    assert len(got) == k
+    for area, series in enumerate(got):
+        want = area_series_by_masks(geo, labels, area, day_ids)
+        assert len(series.days) == len(want)
+        for a, b in zip(series.days, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_area_series_keeps_empty_areas_and_days():
+    geo = GeoEventSeries(
+        day=np.array([1, 0, 1, 1]), seconds=np.array([30.0, 20.0, 10.0, 40.0]), lon=np.zeros(4), lat=np.zeros(4)
+    )
+    labels = np.array([0, 0, 2, 0])
+    got = list(_area_series(geo, labels, 3, np.array([0, 1, 7])))
+    assert [[a.tolist() for a in s.days] for s in got] == [
+        [[20.0], [30.0, 40.0], []],
+        [[], [], []],
+        [[], [10.0], []],
+    ]
 
 
 # --- per-area learning --------------------------------------------------------
