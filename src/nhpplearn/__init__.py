@@ -33,7 +33,7 @@ from .dataio import (
     save_geo_events,
     save_model,
 )
-from .regression import FitConfig, evaluate, fit_bin, fit_partition
+from .regression import CellData, FitConfig, evaluate, fit_bin, fit_partition
 from .simulate import (
     PiecewiseLinearRate,
     af_rate,
@@ -55,6 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AreaPartition",
+    "CellData",
     "CountTable",
     "EventSeries",
     "FitConfig",

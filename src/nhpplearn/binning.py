@@ -76,10 +76,11 @@ class SearchConfig:
             raise ValueError("max_retries must be nonnegative")
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError("epsilon must be in (0, 0.5)")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.eta_seconds is not None and self.eta_seconds <= 0:
-            raise ValueError("eta_seconds must be positive")
+        # NaN fails every comparison, so a bare sign check would let it through
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
+        if self.eta_seconds is not None and not (math.isfinite(self.eta_seconds) and self.eta_seconds > 0):
+            raise ValueError(f"eta_seconds must be finite and positive, got {self.eta_seconds!r}")
         check_test_settings(self.test_method, self.test_mode, self.min_pass_fraction)
 
 
@@ -147,6 +148,9 @@ class _SearchEngine:
 
     Per-bin fits are independent, so splitting one interval only refits its
     two children; the running sums reproduce what a full refit would give.
+    The fits live in ``data``: each queued interval carries the risk and
+    occupancy of the fit that made it, which its split takes back out of the
+    running sums.
     """
 
     def __init__(
@@ -154,7 +158,6 @@ class _SearchEngine:
         data: CellData,
         events: EventSeries | None,
         method: str,
-        fit_config: FitConfig,
         config: SearchConfig,
         restart_index: int = 0,
     ):
@@ -172,15 +175,12 @@ class _SearchEngine:
         self.events = events
         self.window = data.window
         self.method = method
-        self.fit_config = fit_config
         self.config = config
         self.rng = np.random.default_rng(
             np.random.SeedSequence((int(config.seed), _SEARCH_DOMAIN, int(restart_index)))
         )
         self.gamma = config.gamma
         self.m_total = data.total_points
-        # registry: interval -> (risk, occupancy); current partition bins
-        self.registry: dict[tuple[float, float], tuple[float, int]] = {}
         self.knots: list[float] = []  # kept sorted
         self.s_weighted = 0.0  # sum of m_k * R_k over current bins
         self.s_penalty = 0.0  # sum of m_k * R_k / len_k over all bins but the last
@@ -188,10 +188,6 @@ class _SearchEngine:
         self._queue_seq = 0  # insertion tiebreak keeps heap order deterministic
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _fit(self, lo: float, hi: float) -> tuple[float, int]:
-        _, risk, m = self.data.fit_interval(lo, hi, self.fit_config)
-        return risk, m
 
     def _penalty_term(self, lo: float, hi: float, risk: float, m: int) -> float:
         if hi >= self.window.end:  # final bin carries no penalty
@@ -209,7 +205,7 @@ class _SearchEngine:
     def _record(self, **kwargs) -> None:
         entry = TraceEntry(
             knots=tuple(self.knots),
-            n_bins=len(self.registry),
+            n_bins=len(self.knots) + 1,
             risk=self._risk8(),
             penalized=self._risk9(),
             **kwargs,
@@ -220,39 +216,42 @@ class _SearchEngine:
 
     def run(self) -> SearchTrace:
         lo, hi = self.window.start, self.window.end
-        risk, m = self._fit(lo, hi)
-        self.registry[(lo, hi)] = (risk, m)
+        _, risk, m = self.data.fit_interval(lo, hi)
         self.s_weighted = m * risk
         self.s_penalty = self._penalty_term(lo, hi, risk, m)
         self._record(kind="root", interval=(lo, hi), proposed_knot=None, accepted=True, depth=0)
         self.trace.penalty_sums.append(self.s_penalty)
-        heap: list[tuple[float, int, float, float, int]] = []
-        self._enqueue(heap, lo, hi, 0)
+        # (-risk, insertion tiebreak, lo, hi, depth, risk, occupancy)
+        heap: list[tuple[float, int, float, float, int, float, int]] = []
+        self._enqueue(heap, lo, hi, 0, risk, m)
         while heap:
-            _, _, a, b, depth = heapq.heappop(heap)
-            children = self._visit(a, b, depth)
+            _, _, a, b, depth, risk, m = heapq.heappop(heap)
+            children = self._visit(a, b, depth, risk, m)
             if children is not None:
-                for c_lo, c_hi in children:
-                    self._enqueue(heap, c_lo, c_hi, depth + 1)
+                for c_lo, c_hi, c_risk, c_m in children:
+                    self._enqueue(heap, c_lo, c_hi, depth + 1, c_risk, c_m)
         trace = self.trace
         trace.best_knots, trace.best_risk, trace.best_penalized = trace.best_state(self.gamma)
         return trace
 
-    def _enqueue(self, heap: list, lo: float, hi: float, depth: int) -> None:
-        risk, _ = self.registry[(lo, hi)]
-        heapq.heappush(heap, (-risk, self._queue_seq, lo, hi, depth))
+    def _enqueue(self, heap: list, lo: float, hi: float, depth: int, risk: float, m: int) -> None:
+        heapq.heappush(heap, (-risk, self._queue_seq, lo, hi, depth, risk, m))
         self._queue_seq += 1
 
-    def _split_interval(self, lo: float, hi: float, p: float) -> None:
-        risk_parent, m_parent = self.registry.pop((lo, hi))
+    def _split_interval(
+        self, lo: float, hi: float, p: float, risk_parent: float, m_parent: int
+    ) -> list[tuple[float, float, float, int]]:
+        """Replace bin [lo, hi) by its halves at ``p``; returns each half with its (risk, occupancy)."""
         self.s_weighted -= m_parent * risk_parent
         self.s_penalty -= self._penalty_term(lo, hi, risk_parent, m_parent)
+        children = []
         for a, b in ((lo, p), (p, hi)):
-            risk, m = self._fit(a, b)
-            self.registry[(a, b)] = (risk, m)
+            _, risk, m = self.data.fit_interval(a, b)
             self.s_weighted += m * risk
             self.s_penalty += self._penalty_term(a, b, risk, m)
+            children.append((a, b, risk, m))
         bisect.insort(self.knots, p)
+        return children
 
     def _day_slices(self, lo: float, hi: float) -> list[np.ndarray]:
         """Each day's arrivals in [lo, hi), as views of the sorted day arrays."""
@@ -294,13 +293,13 @@ class _SearchEngine:
         )
 
     def _visit(
-        self, lo: float, hi: float, depth: int
-    ) -> tuple[tuple[float, float], tuple[float, float]] | None:
-        """Try to split one queued interval; returns the children or None."""
+        self, lo: float, hi: float, depth: int, risk: float, m: int
+    ) -> list[tuple[float, float, float, int]] | None:
+        """Try to split one queued interval of fit (risk, m); returns the children or None."""
         if depth >= self.config.max_depth:
             self._leaf(lo, hi, depth, "max-depth")
             return None
-        if len(self.registry) >= self.config.max_bins:
+        if len(self.knots) + 1 >= self.config.max_bins:
             self._leaf(lo, hi, depth, "max-bins")
             return None
         if hi - lo <= 1e-9:
@@ -330,10 +329,10 @@ class _SearchEngine:
                         self._leaf(lo, hi, depth, "homogeneous", **tests)
                         return None
                     continue
-            self._split_interval(lo, hi, p)
+            children = self._split_interval(lo, hi, p, risk, m)
             self._record(kind="split", interval=(lo, hi), proposed_knot=p, accepted=True, depth=depth, **tests)
             self.trace.penalty_sums.append(self.s_penalty)
-            return (lo, p), (p, hi)
+            return children
 
 
 def divide(
@@ -351,9 +350,7 @@ def divide(
     intervals reach twice ``config.eta_seconds``.  ``restart_index`` picks
     the random stream, as restart ``r`` of ``learn`` does.
     """
-    engine = _SearchEngine(
-        CellData(counts), events, method, fit_config or FitConfig(), config or SearchConfig(), restart_index
-    )
+    engine = _SearchEngine(CellData(counts, fit_config), events, method, config or SearchConfig(), restart_index)
     return engine.run()
 
 
@@ -389,7 +386,6 @@ def learn(
     ``equal:N``; for ``tikhonov`` with ``gamma=None`` the penalty weight is
     picked from a small grid on a held-out tail of the training days.
     """
-    fit_config = fit_config or FitConfig()
     config = config or SearchConfig()
     kind, n_equal = parse_method(method)
     if kind == "equal" and n_equal > train_counts.n_cells:
@@ -402,21 +398,19 @@ def learn(
         gamma = _select_gamma(train_counts, fit_config, config)
         config = replace(config, gamma=gamma)
 
-    data = CellData(train_counts)  # holds this call's fits; the final refit reads them
+    data = CellData(train_counts, fit_config)  # holds this call's fits; the final refit reads them
     if kind == "equal":
         best_partition = equal_partition(train_counts.window, n_equal)
         traces: list[SearchTrace] = []
     else:
-        (best_partition,), traces = _search_best(train_events, data, kind, fit_config, config, (config.gamma,))
-    report = _score(method, best_partition, data, test_counts, fit_config, config)
+        (best_partition,), traces = _search_best(train_events, data, kind, config, (config.gamma,))
+    report = _score(method, best_partition, data, test_counts, config)
 
     if compare_equal and kind != "equal":
         # the search may leave more bins than cells, which equal:N rejects,
         # so the baseline is scored here rather than through learn
         n_bins = best_partition.n_bins
-        baseline = _score(
-            f"equal:{n_bins}", equal_partition(train_counts.window, n_bins), data, test_counts, fit_config, config
-        )
+        baseline = _score(f"equal:{n_bins}", equal_partition(train_counts.window, n_bins), data, test_counts, config)
         improvement = None
         if report.rmse_test is not None and baseline.rmse_test:
             improvement = (baseline.rmse_test - report.rmse_test) * 100.0 / baseline.rmse_test
@@ -438,12 +432,11 @@ def _score(
     partition: Partition,
     data: CellData,
     test_counts: CountTable | None,
-    fit_config: FitConfig,
     config: SearchConfig,
 ) -> FitReport:
     """Fit ``partition`` to the training counts behind ``data`` and score it."""
     train_counts = data.table
-    model, risks, sizes = fit_partition(train_counts, partition, fit_config, data=data)
+    model, risks, sizes = fit_partition(data, partition)
     return FitReport(
         method=method,
         partition=partition,
@@ -467,7 +460,6 @@ def _search_best(
     train_events: EventSeries | None,
     data: CellData,
     kind: str,
-    fit_config: FitConfig,
     config: SearchConfig,
     gammas: Sequence[float | None],
 ) -> tuple[list[Partition], list[SearchTrace]]:
@@ -479,7 +471,7 @@ def _search_best(
     earlier restart).
     """
     traces = [
-        _SearchEngine(data, train_events, kind, fit_config, config, r).run() for r in range(config.max_restarts)
+        _SearchEngine(data, train_events, kind, config, r).run() for r in range(config.max_restarts)
     ]
     winners = []
     for gamma in gammas:
@@ -487,7 +479,7 @@ def _search_best(
         best_knots: tuple[float, ...] = ()
         for trace in traces:
             knots = trace.best_state(gamma)[0]
-            score = _outer_score(data, knots, fit_config)
+            score = _outer_score(data, knots)
             if score < best_score:
                 best_score = score
                 best_knots = knots
@@ -495,24 +487,25 @@ def _search_best(
     return winners, traces
 
 
-def _outer_score(data: CellData, knots: tuple[float, ...], fit_config: FitConfig) -> float:
+def _outer_score(data: CellData, knots: tuple[float, ...]) -> float:
     """Training risk of a restart's best partition, summed bin by bin in order.
 
-    The engine's running sum reaches the same risk through other roundings,
-    and relaxed restarts tie down to the last bit, so this in-order sum
-    (that of ``binned_risk``) decides which restart wins.
+    The engine's running sum and ``binned_risk`` (an ``np.dot``, whose
+    pairwise or blocked sum often differs in the last bit) reach the same
+    risk through other roundings.  Relaxed restarts tie down to the last
+    bit, so this exact in-order sum decides which restart wins.
     """
     edges = Partition(window=data.window, knots=knots).edges()
     weighted = 0.0
     total = 0
     for k in range(len(knots) + 1):
-        _, risk, m = data.fit_interval(edges[k], edges[k + 1], fit_config)
+        _, risk, m = data.fit_interval(edges[k], edges[k + 1])
         weighted += m * risk
         total += m
     return weighted / total
 
 
-def _select_gamma(train_counts: CountTable, fit_config: FitConfig, config: SearchConfig) -> float:
+def _select_gamma(train_counts: CountTable, fit_config: FitConfig | None, config: SearchConfig) -> float:
     """Grid-search the penalty weight on a held-out tail of training days.
 
     The first ``ceil(0.75 * n_days)`` days (all but one at most) are searched
@@ -529,14 +522,14 @@ def _select_gamma(train_counts: CountTable, fit_config: FitConfig, config: Searc
     n_fit = min(n_fit, n_days - 1)
     fit_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[:n_fit])
     val_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[n_fit:])
-    data = CellData(fit_table)
+    data = CellData(fit_table, fit_config)
     # the runs need some gamma to fill their best state; which one does not matter
     search_config = replace(config, gamma=GAMMA_GRID[0])
-    winners, _ = _search_best(None, data, "tikhonov", fit_config, search_config, GAMMA_GRID)
+    winners, _ = _search_best(None, data, "tikhonov", search_config, GAMMA_GRID)
     best_gamma = GAMMA_GRID[0]
     best_rmse = math.inf
     for gamma, partition in zip(GAMMA_GRID, winners):
-        model, _, _ = fit_partition(fit_table, partition, fit_config, data=data)
+        model, _, _ = fit_partition(data, partition)
         rmse = evaluate(model, val_table)
         if rmse < best_rmse:
             best_rmse = rmse

@@ -143,7 +143,10 @@ def learn(input_path, test_input, config_path, method, degree, gamma, epsilon, e
 def _sweep_option(_, __, value):
     if value is None:
         return None
-    return tuple(float(v) for v in value.split(","))
+    try:
+        return tuple(float(v) for v in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of numbers") from None
 
 
 @main.command()

@@ -78,6 +78,19 @@ class EventSeries:
         return int(sum(arr.size for arr in self.days))
 
 
+def _cell_edges(window: TimeWindow, resolution: float) -> np.ndarray:
+    """Edges of the ``resolution``-second cells covering ``window``; the last may be shorter."""
+    # NaN fails every comparison, so a bare sign check would let it through
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+    n_cells = int(math.ceil(window.length / resolution - 1e-12))
+    if n_cells < 1:
+        raise ValueError("resolution larger than the window")
+    edges = window.start + resolution * np.arange(n_cells + 1)
+    edges[-1] = window.end
+    return edges
+
+
 @dataclass(frozen=True)
 class CountTable:
     """Per-day event counts on a uniform cell grid over the window.
@@ -92,10 +105,8 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        expected = _cell_edges(self.window, self.resolution).size - 1
         counts = np.asarray(self.counts)
-        expected = self.n_cells
         if counts.ndim != 2 or counts.shape[1] != expected:
             raise ValueError(
                 f"counts must have shape (n_days, {expected}), got {counts.shape}"
@@ -108,16 +119,14 @@ class CountTable:
 
     @property
     def n_cells(self) -> int:
-        return int(math.ceil(self.window.length / self.resolution - 1e-12))
+        return int(self.counts.shape[1])
 
     @property
     def n_days(self) -> int:
         return int(self.counts.shape[0])
 
     def cell_edges(self) -> np.ndarray:
-        edges = self.window.start + self.resolution * np.arange(self.n_cells + 1)
-        edges[-1] = self.window.end
-        return edges
+        return _cell_edges(self.window, self.resolution)
 
     def cell_midpoints(self) -> np.ndarray:
         edges = self.cell_edges()
@@ -125,15 +134,10 @@ class CountTable:
 
     @classmethod
     def from_events(cls, series: EventSeries, resolution: float = 60.0) -> "CountTable":
-        window = series.window
-        n_cells = int(math.ceil(window.length / resolution - 1e-12))
-        if n_cells < 1:
-            raise ValueError("resolution larger than the window")
-        edges = window.start + resolution * np.arange(n_cells + 1)
-        edges[-1] = window.end
+        edges = _cell_edges(series.window, resolution)
         rows = [np.histogram(arr, bins=edges)[0] for arr in series.days]
-        counts = np.vstack(rows) if rows else np.zeros((0, n_cells))
-        return cls(window=window, resolution=resolution, counts=counts)
+        counts = np.vstack(rows) if rows else np.zeros((0, edges.size - 1))
+        return cls(window=series.window, resolution=resolution, counts=counts)
 
 
 @dataclass(frozen=True)

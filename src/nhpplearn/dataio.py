@@ -250,15 +250,23 @@ def load_model(path: str | Path) -> RateModel:
     if not isinstance(degree, int) or degree < 0:
         raise ValueError(f"{path}: field 'degree' must be a nonnegative integer")
     coeffs = payload["coefficients"]
+    if not isinstance(coeffs, list):
+        raise ValueError(f"{path}: field 'coefficients' must be a list of rows, one per bin")
     if len(coeffs) != partition.n_bins:
         raise ValueError(
             f"{path}: field 'coefficients' has {len(coeffs)} rows, need one per bin ({partition.n_bins})"
         )
     for k, row in enumerate(coeffs):
+        if not isinstance(row, list):
+            raise ValueError(f"{path}: field 'coefficients' row {k} must be a list of numbers")
         if len(row) != degree + 1:
             raise ValueError(
                 f"{path}: field 'coefficients' row {k} has length {len(row)}, expected degree+1 = {degree + 1}"
             )
+        for v in row:
+            # json reads NaN and Infinity as floats; a model never holds them
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"{path}: field 'coefficients' row {k} holds {v!r}, not a finite number")
     clamp = payload["clamp"]
     if not isinstance(clamp, bool):
         raise ValueError(f"{path}: field 'clamp' must be a boolean")

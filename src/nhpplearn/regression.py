@@ -19,9 +19,12 @@ per day, so the Vandermonde matrix and the prediction are built on the
 cell midpoints and tiled over the days (elementwise, hence exact), and no
 ``np.unique`` or ``Polynomial`` object is made.
 
-A ``CellData`` also remembers every fit it made.  ``learn`` builds one per
-call and passes it to every restart and to the final ``fit_partition``, so
-an interval is fitted once per ``learn`` call; the memo goes away with it.
+A ``CellData`` binds one count table to one ``FitConfig`` and holds the only
+record of the fits made on it: a memo, keyed by interval, of each fit's
+coefficients, risk and occupancy (the search engine keeps no copy).
+``learn`` builds one per call and passes it to every restart and to the
+final ``fit_partition(data, partition)``, so an interval is fitted once per
+``learn`` call; the memo goes away with it.
 """
 
 from __future__ import annotations
@@ -38,26 +41,14 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for per-bin polynomial fitting.
-
-    ``min_points`` is the occupancy needed for a full-degree fit; below it
-    the degree falls back to m - 1.  Must be at least degree + 1.
-    """
+    """Knobs for per-bin polynomial fitting."""
 
     degree: int = 3
     clamp: bool = True
-    min_points: int | None = None
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        floor = self.degree + 1
-        if self.min_points is not None and self.min_points < floor:
-            raise ValueError(f"min_points must be >= degree + 1 = {floor}")
-
-    @property
-    def points_floor(self) -> int:
-        return self.degree + 1 if self.min_points is None else self.min_points
 
 
 def fit_bin(
@@ -69,9 +60,8 @@ def fit_bin(
     """Least-squares polynomial for one bin, in bin-local [-1, 1] coordinates.
 
     Returns ascending-power coefficients padded to length degree + 1.
-    The effective degree is min(degree, #distinct times - 1), further capped
-    at m - 1 when occupancy is below ``min_points``; an empty bin maps to
-    the zero polynomial.
+    The effective degree is min(degree, #distinct times - 1); an empty bin
+    maps to the zero polynomial.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -85,30 +75,29 @@ def fit_bin(
     if m == 0:
         return out
     eff = min(config.degree, int(np.unique(times).size) - 1)
-    if m < config.points_floor:
-        eff = min(eff, m - 1)
     poly = np.polynomial.Polynomial.fit(times, counts, deg=max(eff, 0), domain=[lo, hi], window=[-1.0, 1.0])
     out[: poly.coef.size] = poly.coef
     return out
 
 
 class CellData:
-    """Fit-ready view of a count table: sorted cell midpoints and per-day values.
+    """Fit-ready view of a count table under one ``FitConfig``.
 
-    Fits are remembered by ``(lo, hi, config)`` for the life of the view;
-    the returned coefficient arrays are read-only so no caller can alter a
-    remembered fit.
+    Holds the sorted cell midpoints and per-day values.  Fits are remembered
+    by ``(lo, hi)`` for the life of the view; the returned coefficient arrays
+    are read-only so no caller can alter a remembered fit.
     """
 
-    def __init__(self, table: CountTable):
+    def __init__(self, table: CountTable, config: FitConfig | None = None):
         if table.n_days == 0:
             raise ValueError("count table has no observed days")
         self.table = table
+        self.config = config or FitConfig()
         self.window = table.window
         self.midpoints = table.cell_midpoints()
         self.values = table.counts + 0.0  # polyutils._fit adds 0.0 too: -0.0 becomes 0.0
         self.n_days = table.n_days
-        self._fits: dict[tuple[float, float, FitConfig], tuple[np.ndarray, float, int]] = {}
+        self._fits: dict[tuple[float, float], tuple[np.ndarray, float, int]] = {}
 
     @property
     def total_points(self) -> int:
@@ -123,20 +112,20 @@ class CellData:
             i1 = int(np.searchsorted(self.midpoints, hi, side="left"))
         return slice(i0, i1)
 
-    def fit_interval(self, lo: float, hi: float, config: FitConfig) -> tuple[np.ndarray, float, int]:
+    def fit_interval(self, lo: float, hi: float) -> tuple[np.ndarray, float, int]:
         """Fit one interval; returns (coefficients, mean squared residual, occupancy).
 
         Equal, bit for bit, to ``fit_bin`` on the interval's cells tiled over
         the days, plus the mean squared residual of that fit.
         """
-        key = (lo, hi, config)
+        key = (lo, hi)
         fit = self._fits.get(key)
         if fit is None:
-            fit = self._fits[key] = self._fit(float(lo), float(hi), config)
+            fit = self._fits[key] = self._fit(float(lo), float(hi))
         return fit
 
-    def _fit(self, lo: float, hi: float, config: FitConfig) -> tuple[np.ndarray, float, int]:
-        coef = np.zeros(config.degree + 1)
+    def _fit(self, lo: float, hi: float) -> tuple[np.ndarray, float, int]:
+        coef = np.zeros(self.config.degree + 1)
         sl = self.interval_slice(lo, hi)
         mids = self.midpoints[sl]
         n = mids.size
@@ -147,9 +136,7 @@ class CellData:
         m = n * n_days
         y = self.values[:, sl].ravel()
         # cell midpoints are distinct, so n is the count of distinct abscissae
-        eff = min(config.degree, n - 1)
-        if m < config.points_floor:
-            eff = min(eff, m - 1)
+        eff = min(self.config.degree, n - 1)
         # Polynomial.fit -> polyutils._fit, on the midpoints, tiled over days
         off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)  # polyutils.mapparms
         x = off + scl * mids + 0.0
@@ -176,32 +163,24 @@ class CellData:
         return coef, float(np.add.reduce(resid * resid) / m), m
 
 
-def fit_partition(
-    table: CountTable,
-    partition: Partition,
-    config: FitConfig,
-    data: CellData | None = None,
-) -> tuple[RateModel, np.ndarray, np.ndarray]:
-    """Fit every bin of a partition against per-cell counts.
+def fit_partition(data: CellData, partition: Partition) -> tuple[RateModel, np.ndarray, np.ndarray]:
+    """Fit every bin of a partition against the per-cell counts of ``data``.
 
     Returns the assembled model plus per-bin risks R_k (training mean squared
-    residual, zero for empty bins) and occupancies m_k.  ``data``, a view of
-    ``table``, lets the bins reuse fits it already holds.
+    residual, zero for empty bins) and occupancies m_k.  Bins that ``data``
+    has already fitted are read from its memo.
     """
-    if table.window != partition.window:
+    if data.window != partition.window:
         raise ValueError("count table window does not match partition window")
-    if data is None:
-        data = CellData(table)
-    elif data.table is not table:
-        raise ValueError("cell data is not a view of this count table")
+    config = data.config
     edges = partition.edges()
     coeffs = np.zeros((partition.n_bins, config.degree + 1))
     risks = np.zeros(partition.n_bins)
     sizes = np.zeros(partition.n_bins, dtype=int)
     for k in range(partition.n_bins):
-        coeffs[k], risks[k], sizes[k] = data.fit_interval(edges[k], edges[k + 1], config)
+        coeffs[k], risks[k], sizes[k] = data.fit_interval(edges[k], edges[k + 1])
     model = RateModel(
-        partition=partition, coefficients=coeffs, clamp=config.clamp, resolution=table.resolution
+        partition=partition, coefficients=coeffs, clamp=config.clamp, resolution=data.table.resolution
     )
     return model, risks, sizes
 

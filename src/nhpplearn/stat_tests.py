@@ -23,11 +23,11 @@ partition.  Days are tested one at a time rather than concatenated: a day's
 arrays stay in cache, and one numpy pass over all days measured slower.
 
 ``poisson_test_days`` in per-day mode decides rather than counts: it stops
-as soon as the verdict is settled, passing once the passing days reach the
-quota and failing once the quota can no longer be reached.  Its ``n_passed``
-counts the passing days among the ``n_tested`` days it looked at.  The quota
-comes from the same float comparison that judged the full pass fraction, so
-every verdict is the one an exhaustive loop would give.
+as soon as the verdict is settled, passing once the passing days clear the
+bar and failing once passing every untested day would still fall short.  Its
+``n_passed`` counts the passing days among the ``n_tested`` days it looked
+at.  Both stops use the float comparison that judged the full pass fraction,
+so every verdict is the one an exhaustive loop would give.
 """
 
 from __future__ import annotations
@@ -199,26 +199,6 @@ class MultiDayOutcome:
         }
 
 
-def _quota(n_days: int, threshold: float) -> int:
-    """Fewest passing days whose fraction clears ``threshold``; ``n_days + 1`` if none does.
-
-    The check is the float comparison of the pass fraction itself, so a day
-    count meets the quota exactly when its fraction would have passed.
-    """
-    bar = threshold - 1e-12
-
-    def clears(k: int) -> bool:
-        return (1.0 if n_days == 0 else k / n_days) >= bar
-
-    # the fraction is monotone in k: start at the ceiling, step to the least k that clears
-    k = min(max(math.ceil(bar * n_days), 0), n_days)
-    while k > 0 and clears(k - 1):
-        k -= 1
-    while k <= n_days and not clears(k):
-        k += 1
-    return k
-
-
 def poisson_test_days(
     day_arrivals: Sequence[np.ndarray],
     lo: float,
@@ -245,13 +225,19 @@ def poisson_test_days(
         passed = _outcome(*_day_statistic(merged, lo, hi, log), epsilon, method).passed
         return MultiDayOutcome(passed, n_days, n_days, n_days if passed else 0, 1.0, epsilon, method, mode)
     threshold = (1.0 - 2.0 * epsilon) if min_pass_fraction is None else min_pass_fraction
-    quota = _quota(n_days, threshold)
-    slack = n_days - quota  # failing days the interval can afford
+    bar = threshold - 1e-12
+
+    def clears(k: int) -> bool:
+        """Whether ``k`` passing days of ``n_days`` reach the bar."""
+        return (1.0 if n_days == 0 else k / n_days) >= bar
+
+    # the fraction is monotone in k: stop once the passes so far clear the bar,
+    # or once passing every untested day would still fall short
     n_passed = n_tested = 0
-    while n_passed < quota and n_tested - n_passed <= slack:
+    while not clears(n_passed) and clears(n_passed + n_days - n_tested):
         stat, m = _day_statistic(day_arrivals[n_tested], lo, hi, log)
         n_tested += 1
         # the verdict of _outcome, without building one per day
         if m == 0 or stat <= ks_critical(m, epsilon) or m == 1:
             n_passed += 1
-    return MultiDayOutcome(n_passed >= quota, n_days, n_tested, n_passed, threshold, epsilon, method, mode)
+    return MultiDayOutcome(clears(n_passed), n_days, n_tested, n_passed, threshold, epsilon, method, mode)

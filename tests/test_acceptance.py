@@ -37,7 +37,7 @@ from nhpplearn import (
 )
 from nhpplearn.cli import main as cli_main
 from nhpplearn.experiments import ExperimentConfig, run_experiment_1, run_experiment_2
-from nhpplearn.regression import FitConfig
+from nhpplearn.regression import CellData, FitConfig
 from nhpplearn.simulate import day_stream
 
 
@@ -140,8 +140,8 @@ def test_criterion_2_refinement_monotonicity():
         coarse = Partition(window, tuple(coarse_knots))
         fine = Partition(window, tuple(fine_knots))
         cfg = FitConfig(degree=degree)
-        _, r_c, m_c = fit_partition(table, coarse, cfg)
-        _, r_f, m_f = fit_partition(table, fine, cfg)
+        _, r_c, m_c = fit_partition(CellData(table, cfg), coarse)
+        _, r_f, m_f = fit_partition(CellData(table, cfg), fine)
         worst = max(worst, binned_risk(m_f, r_f) - binned_risk(m_c, r_c))
     elapsed = time.perf_counter() - t0
     _verdict(

@@ -83,6 +83,12 @@ def test_search_config_validation():
         SearchConfig(gamma=-1.0)
     with pytest.raises(ValueError, match="eta_seconds"):
         SearchConfig(eta_seconds=0.0)
+    # NaN slips past a sign check: a NaN gamma ranks no state, a NaN floor never stops a split
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+            SearchConfig(gamma=bad)
+        with pytest.raises(ValueError, match="eta_seconds must be finite and positive"):
+            SearchConfig(eta_seconds=bad)
     for bad in (math.nan, -0.1, 1.5):
         with pytest.raises(ValueError, match="min_pass_fraction must be in"):
             SearchConfig(min_pass_fraction=bad)
@@ -203,7 +209,7 @@ def test_probe_halves_equal_tests_of_masked_days():
     # the probe point; the halves must be exactly the masked arrivals
     series = steep_series(n_days=4, per_day=400, seed=9)
     counts = CountTable.from_events(series, 300.0)
-    engine = _SearchEngine(CellData(counts), series, "ivanov", FitConfig(), SearchConfig())
+    engine = _SearchEngine(CellData(counts), series, "ivanov", SearchConfig())
     t = series.days[1]
     left_failed = 0
     for lo, hi in ((0.0, 86400.0), (3600.0, 7200.0), (t[10], t[300])):
@@ -241,7 +247,7 @@ def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, re
     cfg = SearchConfig(max_depth=6, max_bins=10, max_retries=2, gamma=gamma, eta_seconds=eta, seed=search_seed)
     trace = divide(method, counts, events, fit, cfg, restart_index=restart)
     part = trace.best_partition()
-    _, risks, sizes = fit_partition(counts, part, fit)
+    _, risks, sizes = fit_partition(CellData(counts, fit), part)
     penalized = penalized_risk(sizes, risks, part, gamma)
     want = penalized if method == "tikhonov" else binned_risk(sizes, risks)
     np.testing.assert_allclose(trace.best_risk, want, rtol=1e-9)
@@ -251,7 +257,7 @@ def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, re
         assert list(entry.knots) == sorted(set(entry.knots))
     # the best state may be the root; the last state has every split in it
     last = trace.entries[-1]
-    _, risks, sizes = fit_partition(counts, Partition(W, last.knots), fit)
+    _, risks, sizes = fit_partition(CellData(counts, fit), Partition(W, last.knots))
     np.testing.assert_allclose(last.risk, binned_risk(sizes, risks), rtol=1e-9)
 
 
@@ -290,10 +296,9 @@ def test_worst_bin_is_refined_first():
     trace = divide("tikhonov", counts, None, FitConfig(degree=0), SearchConfig(max_bins=3, max_depth=10, gamma=1e-6))
     root_split = next(e for e in trace.entries if e.kind == "split" and e.depth == 0)
     p = root_split.proposed_knot
-    data = CellData(counts)
-    fit = FitConfig(degree=0)
-    risk_left = data.fit_interval(W.start, p, fit)[1]
-    risk_right = data.fit_interval(p, W.end, fit)[1]
+    data = CellData(counts, FitConfig(degree=0))
+    risk_left = data.fit_interval(W.start, p)[1]
+    risk_right = data.fit_interval(p, W.end)[1]
     worse = (W.start, p) if risk_left > risk_right else (p, W.end)
     second = next(e for e in trace.entries if e.kind == "split" and e.depth == 1)
     assert second.interval == pytest.approx(worse)

@@ -218,3 +218,45 @@ def test_learn_relaxed_requires_eta(runner, tmp_path):
     result = runner.invoke(main, ["learn", "--input", str(good), "--method", "relaxed"])
     assert result.exit_code != 0
     assert "eta" in result.output.lower()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--method", "tikhonov", "--gamma", "nan"], "gamma must be finite and nonnegative, got nan"),
+    (["--method", "tikhonov", "--gamma", "inf"], "gamma must be finite and nonnegative, got inf"),
+    (["--method", "relaxed", "--eta", "nan"], "eta_seconds must be finite and positive, got nan"),
+    (["--resolution", "0"], "resolution must be positive and finite, got 0.0"),
+    (["--resolution", "-5"], "resolution must be positive and finite, got -5.0"),
+    (["--resolution", "nan"], "resolution must be positive and finite, got nan"),
+])
+def test_learn_rejects_non_finite_and_non_positive_settings(runner, tmp_path, args, message):
+    good = tmp_path / "ok.csv"
+    good.write_text("day,seconds\n" + "\n".join(f"0,{t}.0" for t in range(100, 5000, 40)) + "\n")
+    result = runner.invoke(main, ["learn", "--input", str(good), "--out-dir", str(tmp_path / "fit"), *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert message in result.output
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+def test_eval_rejects_a_bad_resolution(runner, tmp_path, value):
+    simulate_small(runner, tmp_path)
+    run_ok(runner, [
+        "learn", "--input", str(tmp_path / "train.csv"), "--method", "equal:4", "--degree", "1",
+        "--out-dir", str(tmp_path / "fit"),
+    ])
+    result = runner.invoke(main, [
+        "eval", "--model", str(tmp_path / "fit" / "model.json"), "--input", str(tmp_path / "test.csv"),
+        "--resolution", value,
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"resolution must be positive and finite, got {float(value)!r}" in result.output
+
+
+def test_exp1_rejects_an_eta_sweep_that_is_not_numbers(runner, tmp_path):
+    result = runner.invoke(main, ["exp1", "--out-dir", str(tmp_path / "out"), "--eta-sweep", "a,b"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--eta-sweep': 'a,b' is not a comma-separated list of numbers" in result.output
+    assert not (tmp_path / "out").exists()

@@ -89,6 +89,14 @@ def test_count_table_cell_count_is_ceiling():
 def test_count_table_validates_inputs():
     with pytest.raises(ValueError, match="resolution must be positive"):
         CountTable(DAY, 0.0, np.zeros((1, 1)))
+    series = EventSeries(DAY, (np.array([1.0]),))
+    for bad in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"resolution must be positive and finite, got {bad!r}"):
+            CountTable(DAY, bad, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=f"resolution must be positive and finite, got {bad!r}"):
+            CountTable.from_events(series, bad)
+    with pytest.raises(ValueError, match="resolution larger than the window"):
+        CountTable.from_events(series, 1e20)
     with pytest.raises(ValueError, match="nonnegative"):
         CountTable(TimeWindow(0.0, 60.0), 60.0, np.array([[-1.0]]))
     for bad in (np.nan, np.inf):

@@ -600,3 +600,16 @@ def test_model_schema_violations(tmp_path):
     dump(lambda p: p.update(knots=[64800.0, 21600.0]))
     with pytest.raises(ValueError, match="field 'knots'"):
         load_model(path)
+
+    dump(lambda p: p.update(coefficients=5))
+    with pytest.raises(ValueError, match="'coefficients' must be a list of rows, one per bin"):
+        load_model(path)
+
+    dump(lambda p: p["coefficients"].__setitem__(2, 0.5))
+    with pytest.raises(ValueError, match="'coefficients' row 2 must be a list of numbers"):
+        load_model(path)
+
+    for bad, shown in (("x", "'x'"), (None, "None"), (True, "True"), (float("nan"), "nan"), (float("inf"), "inf")):
+        dump(lambda p: p["coefficients"][1].__setitem__(0, bad))
+        with pytest.raises(ValueError, match=f"'coefficients' row 1 holds {shown}, not a finite number"):
+            load_model(path)

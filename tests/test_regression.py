@@ -71,15 +71,13 @@ def test_fit_bin_validations():
 def test_fit_config_validations():
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         FitConfig(degree=-1)
-    with pytest.raises(ValueError, match="min_points must be >= degree \\+ 1"):
-        FitConfig(degree=3, min_points=2)
 
 
-def test_min_points_floor_reduces_degree():
-    # 3 points under a floor of 5 cannot support a cubic; expect a quadratic at most
+def test_few_distinct_points_reduce_degree():
+    # 3 points cannot support a cubic; expect a quadratic at most
     times = np.array([1.0, 2.0, 3.0])
     y = np.array([1.0, 4.0, 9.0])
-    coef = fit_bin(times, y, (0.0, 4.0), FitConfig(degree=3, min_points=5))
+    coef = fit_bin(times, y, (0.0, 4.0), FitConfig(degree=3))
     assert coef[3] == 0.0
 
 
@@ -98,8 +96,8 @@ def test_interval_slice_half_open_with_tail():
 def test_fit_interval_risk_is_mean_squared_residual():
     counts = np.array([[1.0, 5.0, 3.0], [3.0, 7.0, 5.0]])
     table = table_from_counts(counts)
-    data = CellData(table)
-    coef, risk, m = data.fit_interval(0.0, 30.0, FitConfig(degree=0))
+    data = CellData(table, FitConfig(degree=0))
+    coef, risk, m = data.fit_interval(0.0, 30.0)
     assert m == 6
     mean = counts.mean()
     np.testing.assert_allclose(coef[0], mean, atol=1e-12)
@@ -108,8 +106,8 @@ def test_fit_interval_risk_is_mean_squared_residual():
 
 def test_fit_interval_empty_is_zero():
     table = table_from_counts(np.ones((1, 4)))
-    data = CellData(table)
-    coef, risk, m = data.fit_interval(11.0, 14.0, FitConfig(degree=2))  # no midpoint inside
+    data = CellData(table, FitConfig(degree=2))
+    coef, risk, m = data.fit_interval(11.0, 14.0)  # no midpoint inside
     assert m == 0 and risk == 0.0
     np.testing.assert_array_equal(coef, np.zeros(3))
 
@@ -154,15 +152,14 @@ def interval_fits(draw):
         a, b = sorted(draw(st.lists(st.floats(window.start, window.end), min_size=2, max_size=2, unique=True)))
         lo, hi = a, b
     degree = draw(st.integers(0, 4))
-    min_points = draw(st.one_of(st.none(), st.integers(degree + 1, degree + 12)))
-    return table, float(lo), float(hi), FitConfig(degree=degree, min_points=min_points)
+    return table, float(lo), float(hi), FitConfig(degree=degree)
 
 
 @settings(max_examples=300, deadline=None)
 @given(interval_fits())
 def test_fit_interval_is_bitwise_fit_bin(case):
     table, lo, hi, config = case
-    coef, risk, m = CellData(table).fit_interval(lo, hi, config)
+    coef, risk, m = CellData(table, config).fit_interval(lo, hi)
     want_coef, want_risk, want_m = _oracle_fit(table, lo, hi, config)
     assert np.array_equal(coef, want_coef)
     assert risk == want_risk
@@ -173,24 +170,15 @@ def test_fit_interval_is_bitwise_fit_bin(case):
 @given(interval_fits())
 def test_fit_interval_memo_matches_fresh_and_is_read_only(case):
     table, lo, hi, config = case
-    data = CellData(table)
-    first = data.fit_interval(lo, hi, config)
-    again = data.fit_interval(lo, hi, config)
-    fresh = CellData(table).fit_interval(lo, hi, config)
+    data = CellData(table, config)
+    first = data.fit_interval(lo, hi)
+    again = data.fit_interval(lo, hi)
+    fresh = CellData(table, config).fit_interval(lo, hi)
     assert again is first
     assert np.array_equal(again[0], fresh[0]) and again[1:] == fresh[1:]
     assert not first[0].flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first[0][0] = 1.0
-
-
-def test_fit_interval_memo_is_keyed_by_config():
-    table = table_from_counts(np.array([[1.0, 4.0, 9.0, 16.0]]))
-    data = CellData(table)
-    line = data.fit_interval(0.0, 40.0, FitConfig(degree=1))
-    quad = data.fit_interval(0.0, 40.0, FitConfig(degree=2))
-    assert line[0].size == 2 and quad[0].size == 3
-    assert quad[1] < line[1]
 
 
 def test_cell_data_requires_days():
@@ -205,12 +193,12 @@ def test_fit_partition_matches_per_bin_fits():
     counts = rng.poisson(6.0, size=(3, 24)).astype(float)
     table = table_from_counts(counts)
     part = Partition(table.window, (60.0, 150.0))
-    model, risks, sizes = fit_partition(table, part, FitConfig(degree=1))
+    model, risks, sizes = fit_partition(CellData(table, FitConfig(degree=1)), part)
     assert sizes.sum() == counts.size
-    data = CellData(table)
+    data = CellData(table, FitConfig(degree=1))
     edges = part.edges()
     for k in range(part.n_bins):
-        coef, risk, m = data.fit_interval(edges[k], edges[k + 1], FitConfig(degree=1))
+        coef, risk, m = data.fit_interval(edges[k], edges[k + 1])
         np.testing.assert_allclose(model.coefficients[k], coef, atol=1e-12)
         assert math.isclose(risks[k], risk, rel_tol=1e-12)
         assert sizes[k] == m
@@ -223,7 +211,7 @@ def test_training_risk_equals_unweighted_global_mse():
     table = table_from_counts(counts)
     part = Partition(table.window, (90.0, 170.0, 250.0))
     cfg = FitConfig(degree=2, clamp=False)
-    model, risks, sizes = fit_partition(table, part, cfg)
+    model, risks, sizes = fit_partition(CellData(table, cfg), part)
     weighted = binned_risk(sizes, risks)
     pred = model.evaluate(table.cell_midpoints())
     direct = np.mean((counts - pred[None, :]) ** 2)
@@ -233,23 +221,21 @@ def test_training_risk_equals_unweighted_global_mse():
 def test_fit_partition_checks_window():
     table = table_from_counts(np.ones((1, 4)))
     with pytest.raises(ValueError, match="does not match"):
-        fit_partition(table, Partition(TimeWindow(0.0, 50.0), ()), FitConfig())
+        fit_partition(CellData(table), Partition(TimeWindow(0.0, 50.0), ()))
 
 
 def test_fit_partition_reuses_fits_of_its_cell_data():
     rng = np.random.default_rng(5)
     table = table_from_counts(rng.poisson(6.0, size=(3, 24)).astype(float))
     part = Partition(table.window, (60.0, 150.0))
-    data = CellData(table)
-    held = data.fit_interval(60.0, 150.0, FitConfig(degree=1))
-    model, risks, sizes = fit_partition(table, part, FitConfig(degree=1), data=data)
+    data = CellData(table, FitConfig(degree=1))
+    held = data.fit_interval(60.0, 150.0)
+    model, risks, sizes = fit_partition(data, part)
     assert np.array_equal(model.coefficients[1], held[0]) and risks[1] == held[1]
-    fresh, fresh_risks, _ = fit_partition(table, part, FitConfig(degree=1))
+    assert model.resolution == table.resolution and model.coefficients.shape == (3, 2)
+    fresh, fresh_risks, _ = fit_partition(CellData(table, FitConfig(degree=1)), part)
     assert np.array_equal(model.coefficients, fresh.coefficients)
     assert np.array_equal(risks, fresh_risks)
-    other = table_from_counts(table.counts.copy())
-    with pytest.raises(ValueError, match="not a view of this count table"):
-        fit_partition(other, part, FitConfig(degree=1), data=data)
 
 
 def test_refinement_never_raises_training_risk():
@@ -266,8 +252,8 @@ def test_refinement_never_raises_training_risk():
         cfg = FitConfig(degree=int(rng.integers(0, 4)))
         coarse = Partition(table.window, tuple(coarse_knots))
         fine = Partition(table.window, tuple(fine_knots))
-        _, r_c, s_c = fit_partition(table, coarse, cfg)
-        _, r_f, s_f = fit_partition(table, fine, cfg)
+        _, r_c, s_c = fit_partition(CellData(table, cfg), coarse)
+        _, r_f, s_f = fit_partition(CellData(table, cfg), fine)
         assert binned_risk(s_f, r_f) <= binned_risk(s_c, r_c) + 1e-10
 
 
@@ -290,7 +276,7 @@ def test_evaluate_is_rmse_over_cells():
     counts = np.array([[2.0, 4.0], [4.0, 6.0]])
     table = table_from_counts(counts)
     part = Partition(table.window, ())
-    model, _, _ = fit_partition(table, part, FitConfig(degree=0))
+    model, _, _ = fit_partition(CellData(table, FitConfig(degree=0)), part)
     # constant fit at the grand mean 4; residuals (-2, 0, 0, 2)
     assert math.isclose(evaluate(model, table), math.sqrt(2.0), rel_tol=1e-12)
 
@@ -304,7 +290,7 @@ def test_evaluate_rejects_counts_at_another_resolution():
     series = EventSeries(window, days)
     fine = CountTable.from_events(series, 60.0)
     coarse = CountTable.from_events(series, 300.0)
-    model, _, _ = fit_partition(fine, Partition(window, (1800.0,)), FitConfig(degree=1))
+    model, _, _ = fit_partition(CellData(fine, FitConfig(degree=1)), Partition(window, (1800.0,)))
     assert model.resolution == 60.0
     assert math.isfinite(evaluate(model, fine))
     with pytest.raises(ValueError, match="learned on 60 s cells .* has 300 s cells"):
@@ -313,7 +299,7 @@ def test_evaluate_rejects_counts_at_another_resolution():
 
 def test_evaluate_accepts_any_resolution_when_the_model_has_none():
     table = table_from_counts([[2.0, 4.0], [4.0, 6.0]])
-    model, _, _ = fit_partition(table, Partition(table.window, ()), FitConfig(degree=0))
+    model, _, _ = fit_partition(CellData(table, FitConfig(degree=0)), Partition(table.window, ()))
     unknown = RateModel(model.partition, model.coefficients, model.clamp)
     coarse = CountTable(table.window, 20.0, [[6.0], [10.0]])
     assert evaluate(unknown, coarse) == evaluate(replace(model, resolution=20.0), coarse)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nhpplearn import ks_critical, ks_statistic, log_test, poisson_test_days
 from nhpplearn.stat_tests import TestOutcome as Outcome
-from nhpplearn.stat_tests import _quota, uniform_ks_test
+from nhpplearn.stat_tests import uniform_ks_test
 
 
 # --- the straightforward per-day code, kept as the oracle ---------------------
@@ -394,15 +394,23 @@ def test_per_day_mode_stops_once_the_verdict_is_settled(data, verdicts, method, 
     assert_decides_like_loop(out, verdicts, threshold)
 
 
-def test_quota_is_the_fewest_days_whose_fraction_clears_the_bar():
-    # a scan over every day count is the oracle; near k / n_days the ceiling
-    # of (threshold - 1e-12) * n_days can overshoot by one (n_days=25, k=7)
-    for n_days in range(0, 61):
+def test_per_day_verdict_at_every_pass_count_near_the_bar():
+    # every day count up to 25, every pass count k and bars within the 1e-12
+    # slack of k / n_days: near there the ceiling of (threshold - 1e-12) *
+    # n_days can overshoot by one (n_days=25, k=7); k - 1 or k passing days,
+    # tested first or last, must decide as the exhaustive loop does
+    for n_days in range(0, 26):
         for k in range(0, n_days + 1):
             for delta in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 1.5e-12, 2e-12, 0.5 / max(n_days, 1)):
                 threshold = min(max(_fraction(k, n_days) + delta, 0.0), 1.0)
-                clears = [_fraction(j, n_days) >= threshold - 1e-12 for j in range(n_days + 1)]
-                assert _quota(n_days, threshold) == clears.index(True), (n_days, k, delta)
+                for passes in {max(k - 1, 0), k}:
+                    for verdicts in (
+                        [True] * passes + [False] * (n_days - passes),
+                        [False] * (n_days - passes) + [True] * passes,
+                    ):
+                        days = [np.empty(0) if ok else np.zeros(5) for ok in verdicts]
+                        out = poisson_test_days(days, 0.0, 1.0, min_pass_fraction=threshold)
+                        assert_decides_like_loop(out, verdicts, threshold)
 
 
 def test_quota_where_the_ceiling_overshoots():
