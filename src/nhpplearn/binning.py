@@ -74,6 +74,8 @@ class SearchConfig:
             raise ValueError("search budgets must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError("epsilon must be in (0, 0.5)")
         # NaN fails every comparison, so a bare sign check would let it through

@@ -60,6 +60,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_test_settings(self.test_method, self.test_mode)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        if self.clusters < 1:
+            raise ValueError(f"clusters must be at least 1, got {self.clusters!r}")
 
     @classmethod
     def exp1_defaults(cls, **overrides) -> "ExperimentConfig":

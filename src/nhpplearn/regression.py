@@ -20,11 +20,19 @@ cell midpoints and tiled over the days (elementwise, hence exact), and no
 ``np.unique`` or ``Polynomial`` object is made.
 
 A ``CellData`` binds one count table to one ``FitConfig`` and holds the only
-record of the fits made on it: a memo, keyed by interval, of each fit's
+record of the fits made on it: a memo, keyed by ``(lo, hi)``, of each fit's
 coefficients, risk and occupancy (the search engine keeps no copy).
 ``learn`` builds one per call and passes it to every restart and to the
 final ``fit_partition(data, partition)``, so an interval is fitted once per
 ``learn`` call; the memo goes away with it.
+
+A constant fit (effective degree 0: one cell, or ``degree == 0``) is also
+shared by cell slice, so every ``(lo, hi)`` covering the same cells reuses
+one fit.  That is exact: with ``eff = 0`` the Vandermonde row is
+``x * 0 + 1 == 1.0`` for every finite ``x``, so the least-squares matrix,
+its norms and the coefficients do not depend on ``lo`` or ``hi``; the Horner
+prediction adds only ``±0.0`` terms to ``coef[0]``, so the residuals, and
+the risk, are the same bit for bit; and an empty slice is the zero fit.
 """
 
 from __future__ import annotations
@@ -84,8 +92,9 @@ class CellData:
     """Fit-ready view of a count table under one ``FitConfig``.
 
     Holds the sorted cell midpoints and per-day values.  Fits are remembered
-    by ``(lo, hi)`` for the life of the view; the returned coefficient arrays
-    are read-only so no caller can alter a remembered fit.
+    by ``(lo, hi)``, and constant fits also by cell slice, for the life of the
+    view; the returned coefficient arrays are read-only so no caller can
+    alter a remembered fit.
     """
 
     def __init__(self, table: CountTable, config: FitConfig | None = None):
@@ -98,6 +107,8 @@ class CellData:
         self.values = table.counts + 0.0  # polyutils._fit adds 0.0 too: -0.0 becomes 0.0
         self.n_days = table.n_days
         self._fits: dict[tuple[float, float], tuple[np.ndarray, float, int]] = {}
+        # constant fits by cell slice; a dict apart, since (0, 5) == (0.0, 5.0)
+        self._constant_fits: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
 
     @property
     def total_points(self) -> int:
@@ -105,11 +116,11 @@ class CellData:
 
     def interval_slice(self, lo: float, hi: float) -> slice:
         """Cells whose midpoint falls in [lo, hi); hi == window.end includes the tail."""
-        i0 = int(np.searchsorted(self.midpoints, lo, side="left"))
+        i0 = int(self.midpoints.searchsorted(lo, side="left"))
         if hi >= self.window.end:
             i1 = self.midpoints.size
         else:
-            i1 = int(np.searchsorted(self.midpoints, hi, side="left"))
+            i1 = int(self.midpoints.searchsorted(hi, side="left"))
         return slice(i0, i1)
 
     def fit_interval(self, lo: float, hi: float) -> tuple[np.ndarray, float, int]:
@@ -121,12 +132,19 @@ class CellData:
         key = (lo, hi)
         fit = self._fits.get(key)
         if fit is None:
-            fit = self._fits[key] = self._fit(float(lo), float(hi))
+            sl = self.interval_slice(lo, hi)
+            if min(self.config.degree, sl.stop - sl.start - 1) <= 0:
+                cells = (sl.start, sl.stop)
+                fit = self._constant_fits.get(cells)
+                if fit is None:
+                    fit = self._constant_fits[cells] = self._fit(float(lo), float(hi), sl)
+            else:
+                fit = self._fit(float(lo), float(hi), sl)
+            self._fits[key] = fit
         return fit
 
-    def _fit(self, lo: float, hi: float) -> tuple[np.ndarray, float, int]:
+    def _fit(self, lo: float, hi: float, sl: slice) -> tuple[np.ndarray, float, int]:
         coef = np.zeros(self.config.degree + 1)
-        sl = self.interval_slice(lo, hi)
         mids = self.midpoints[sl]
         n = mids.size
         if n == 0:

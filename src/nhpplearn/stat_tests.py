@@ -102,7 +102,8 @@ def _day_statistic(arrivals: Sequence[float], lo: float, hi: float, log: bool) -
         return 0.0, 0
     if m > 1 and not (arr[1:] >= arr[:-1]).all():
         arr = np.sort(arr)
-    if arr[0] < lo or arr[-1] >= hi:
+    # NaN sorts last and fails every comparison, so test for being inside
+    if not (lo <= arr[0] and arr[-1] < hi):
         raise ValueError(f"arrivals must lie in [{lo}, {hi})")
     span = hi - lo
     r = np.arange(m + 1.0)
