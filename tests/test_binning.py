@@ -77,6 +77,9 @@ def test_search_config_validation():
         SearchConfig(max_depth=0)
     with pytest.raises(ValueError, match="nonnegative"):
         SearchConfig(max_retries=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SearchConfig(seed=-1)
+    assert SearchConfig(seed=0).seed == 0
     with pytest.raises(ValueError, match="epsilon"):
         SearchConfig(epsilon=0.7)
     with pytest.raises(ValueError, match="gamma"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,33 @@ def _small_cfg(out_dir):
     cfg = out_dir / "cfg.json"
     cfg.write_text(json.dumps({"count_lo": 700, "count_hi": 800}))
     return str(cfg)
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tikhonov_pipeline_matches_stored_reference(runner, tmp_path, seed):
+    # the benchmark's files workload: simulate, tikhonov learn at degree 1, eval
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    run_ok(runner, [
+        "simulate", "--seed", str(seed), "--days-train", "30", "--days-test", "8", "--out-dir", str(data),
+    ])
+    run_ok(runner, [
+        "learn", "--input", str(data / "train.csv"), "--test-input", str(data / "test.csv"),
+        "--method", "tikhonov", "--degree", "1", "--seed", str(seed), "--out-dir", str(fit),
+    ])
+    echoed = run_ok(runner, ["eval", "--model", str(fit / "model.json"), "--input", str(data / "test.csv")])
+    model = json.loads((fit / "model.json").read_text())
+    report = json.loads((fit / "report.json").read_text())
+    got = {
+        "model.knots": model["knots"],
+        "report": {k: report[k] for k in ("knots", "n_bins", "gamma", "rmse_train", "rmse_test")},
+        "eval": echoed.output.strip(),
+    }
+    with open(REFERENCE_DIR / "files.json") as fh:
+        want = json.load(fh)["seeds"][str(seed)]["fit.json"]
+    assert json.dumps(got, indent=1) + "\n" == want
 
 
 def test_simulate_then_learn_then_eval(runner, tmp_path):
@@ -236,6 +264,24 @@ def test_learn_rejects_non_finite_and_non_positive_settings(runner, tmp_path, ar
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert message in result.output
     assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["learn", "--method", "equal:2", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["exp1", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["exp3", "--clusters", "0"], "clusters must be at least 1, got 0"),
+    (["exp3", "--clusters", "-2"], "clusters must be at least 1, got -2"),
+])
+def test_a_bad_seed_or_cluster_count_is_named(runner, tmp_path, args, message):
+    good = tmp_path / "ok.csv"
+    good.write_text("day,seconds\n" + "\n".join(f"0,{t}.0" for t in range(100, 5000, 40)) + "\n")
+    if args[0] == "learn":
+        args = [*args, "--input", str(good)]
+    result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan"])

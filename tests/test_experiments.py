@@ -71,6 +71,19 @@ def test_config_rejects_unknown_test_settings(tmp_path):
         ExperimentConfig.from_file(path)
 
 
+def test_config_rejects_a_negative_seed_and_too_few_clusters(tmp_path):
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        ExperimentConfig(seed=-1)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"clusters must be at least 1, got {bad}"):
+            ExperimentConfig.exp3_defaults(clusters=bad)
+    assert ExperimentConfig(seed=0, clusters=1).clusters == 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": -2}))
+    with pytest.raises(ValueError, match=rf"{path}: seed must be nonnegative, got -2"):
+        ExperimentConfig.from_file(path)
+
+
 def test_config_with_overrides_skips_none():
     cfg = ExperimentConfig.exp2_defaults()
     out = cfg.with_overrides(seed=None, degree=2)

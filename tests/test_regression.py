@@ -181,6 +181,94 @@ def test_fit_interval_memo_matches_fresh_and_is_read_only(case):
         first[0][0] = 1.0
 
 
+def _cut_around(mids, window, i, j, a, b):
+    """An interval holding exactly cells i..j: lo in (mids[i-1], mids[i]], hi in (mids[j], mids[j+1]]."""
+    left = mids[i - 1] if i > 0 else window.start
+    right = mids[j + 1] if j + 1 < mids.size else window.end
+    return mids[i] - a * (mids[i] - left), mids[j] + b * (right - mids[j])
+
+
+@st.composite
+def shared_cell_fits(draw):
+    """One table and many intervals that share cells: single cells cut many
+    ways, empty gaps, runs of cells (constant fits at degree 0) and random ones."""
+    resolution = draw(st.sampled_from([60.0, 300.0]))
+    n_cells = draw(st.integers(1, 12))
+    start = float(draw(st.integers(0, 3600)))
+    window = TimeWindow(start, start + n_cells * resolution)
+    n_days = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.poisson(draw(st.sampled_from([0.5, 4.0, 40.0])), size=(n_days, n_cells))
+    table = CountTable(window, resolution, counts)
+    mids = table.cell_midpoints()
+    fraction = st.floats(0.0, 1.0, exclude_max=True)
+    intervals = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["one-cell", "one-cell", "empty", "run", "random"]))
+        i = draw(st.integers(0, n_cells - 1))
+        a, b = draw(fraction), 1.0 - draw(fraction)  # a in [0, 1), b in (0, 1]
+        if kind == "one-cell":
+            lo, hi = _cut_around(mids, window, i, i, a, b)
+        elif kind == "run":
+            lo, hi = _cut_around(mids, window, i, draw(st.integers(i, n_cells - 1)), a, b)
+        elif kind == "empty" and i + 1 < n_cells:  # inside the gap after cell i's midpoint
+            gap = mids[i + 1] - mids[i]
+            lo = mids[i] + max(a, 0.01) * gap
+            hi = lo + b * (mids[i + 1] - lo)
+        else:
+            lo, hi = sorted(draw(st.lists(st.floats(window.start, window.end), min_size=2, max_size=2, unique=True)))
+        if lo < hi:
+            intervals.append((float(lo), float(hi)))
+    return table, intervals, FitConfig(degree=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_cell_fits())
+def test_fits_sharing_cells_equal_fresh_fit_bin(case):
+    table, intervals, config = case
+    data = CellData(table, config)
+    for lo, hi in intervals:
+        coef, risk, m = data.fit_interval(lo, hi)
+        want_coef, want_risk, want_m = _oracle_fit(table, lo, hi, config)
+        assert np.array_equal(coef, want_coef)
+        assert risk == want_risk
+        assert m == want_m
+        assert not coef.flags.writeable
+
+
+def test_constant_fits_run_once_per_cell_slice(monkeypatch):
+    made = []
+    fit = CellData._fit
+
+    def counting_fit(self, lo, hi, sl):
+        made.append((lo, hi))
+        return fit(self, lo, hi, sl)
+
+    monkeypatch.setattr(CellData, "_fit", counting_fit)
+    rng = np.random.default_rng(3)
+    table = table_from_counts(rng.poisson(5.0, size=(3, 10)).astype(float))  # midpoints 5, 15, ..., 95
+    data = CellData(table, FitConfig(degree=1))
+    for k in range(10):  # each cell cut five ways
+        for lo, hi in ((10 * k, 10 * k + 10), (10 * k + 5, 10 * k + 6), (10 * k + 1, 10 * k + 15),
+                       (10 * k - 4.5, 10 * k + 9), (10 * k + 4.75, 10 * k + 5.5)):
+            assert data.fit_interval(float(lo), float(hi))[2] == 3
+    assert len(made) == 10
+    for lo, hi in ((5.5, 6.0), (6.0, 15.0), (7.25, 8.0)):  # empty, all between midpoints 5 and 15
+        assert data.fit_interval(lo, hi)[2] == 0
+    assert len(made) == 11
+    data.fit_interval(0.0, 30.0)
+    data.fit_interval(1.0, 30.0)  # the same three cells, but a line depends on the bounds
+    assert len(made) == 13
+    # at degree 0 every fit is constant: one per slice, whatever the bounds
+    data = CellData(table, FitConfig(degree=0))
+    made.clear()
+    for lo, hi in ((0.0, 30.0), (4.0, 26.0), (5.0, 25.5), (0.0, 100.0), (2.0, 100.0)):
+        data.fit_interval(lo, hi)
+    assert len(made) == 2
+    # a constant fit reached through new bounds is the remembered, read-only one
+    assert data.fit_interval(3.0, 29.0) is data.fit_interval(0.0, 30.0)
+
+
 def test_cell_data_requires_days():
     with pytest.raises(ValueError, match="no observed days"):
         CellData(CountTable(TimeWindow(0.0, 10.0), 10.0, np.zeros((0, 1))))

@@ -37,7 +37,7 @@ def _oracle_validate(arrivals, lo, hi):
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
     arr = np.sort(np.asarray(arrivals, dtype=float))
-    if arr.size and (arr[0] < lo or arr[-1] >= hi):
+    if arr.size and not (lo <= arr[0] and arr[-1] < hi):
         raise ValueError(f"arrivals must lie in [{lo}, {hi})")
     return arr
 
@@ -248,6 +248,19 @@ def test_interval_validation():
         log_test([10.0], 0.0, 10.0)  # right endpoint excluded
     with pytest.raises(ValueError, match="must lie in"):
         uniform_ks_test([-0.5], 0.0, 10.0)
+
+
+@pytest.mark.parametrize("arrivals", [[0.5, math.nan], [math.nan], [math.nan, 0.2, 0.7], [0.1, math.inf]])
+def test_nan_and_inf_arrivals_are_rejected(arrivals):
+    # NaN sorts last and fails both bounds of a plain out-of-range check
+    for test in (log_test, uniform_ks_test):
+        with pytest.raises(ValueError, match=r"must lie in \[0.0, 1.0\)"):
+            test(arrivals, 0.0, 1.0)
+    for mode in ("per-day", "pooled"):
+        with pytest.raises(ValueError, match="must lie in"):
+            poisson_test_days([np.array(arrivals), np.array([0.3, 0.6])], 0.0, 1.0, mode=mode)
+        with pytest.raises(ValueError, match="must lie in"):
+            poisson_test_days([np.array([0.3, 0.6]), np.array(arrivals)], 0.0, 1.0, mode=mode)
 
 
 def test_log_test_calibration_quick():
