@@ -379,6 +379,7 @@ def learn(
     fit_config: FitConfig | None = None,
     config: SearchConfig | None = None,
     compare_equal: bool = False,
+    data: CellData | None = None,
 ) -> FitReport:
     """Learn a piecewise rate model with the requested division strategy.
 
@@ -387,6 +388,12 @@ def learn(
     ``method`` is one of ``ivanov``, ``tikhonov``, ``relaxed``, or
     ``equal:N``; for ``tikhonov`` with ``gamma=None`` the penalty weight is
     picked from a small grid on a held-out tail of the training days.
+
+    ``data`` is a ``CellData`` built on ``train_counts`` (the same object)
+    under ``fit_config``; several calls on one table pass the same one to
+    share its fits.  A fit depends only on the table, the config and the
+    interval, so the report is the same as without it.  By default each
+    call builds its own.
     """
     config = config or SearchConfig()
     kind, n_equal = parse_method(method)
@@ -395,12 +402,18 @@ def learn(
             f"method '{method}' asks for {n_equal} bins, more than the {train_counts.n_cells} cells "
             "of the training window"
         )
+    fit_config = fit_config or FitConfig()
+    if data is None:
+        data = CellData(train_counts, fit_config)
+    elif data.table is not train_counts:
+        raise ValueError("data was built on another count table than train_counts")
+    elif data.config != fit_config:
+        raise ValueError(f"data was built under {data.config}, not under fit_config {fit_config}")
 
     if kind == "tikhonov" and config.gamma is None:
         gamma = _select_gamma(train_counts, fit_config, config)
         config = replace(config, gamma=gamma)
 
-    data = CellData(train_counts, fit_config)  # holds this call's fits; the final refit reads them
     if kind == "equal":
         best_partition = equal_partition(train_counts.window, n_equal)
         traces: list[SearchTrace] = []

@@ -15,6 +15,10 @@ import numpy as np
 
 SECONDS_PER_DAY = 86400.0
 
+# one day in 0.0864 s cells, far finer than a rate model needs; without a
+# ceiling a resolution such as 1e-9 asks numpy for terabytes
+MAX_CELLS = 10**6
+
 
 @dataclass(frozen=True)
 class TimeWindow:
@@ -32,15 +36,6 @@ class TimeWindow:
     @property
     def length(self) -> float:
         return self.end - self.start
-
-    def contains(self, t: np.ndarray) -> np.ndarray:
-        """Mask of times in [start, end], end included.
-
-        Arrivals lie in [start, end), but an evaluation probe may sit on the
-        end, which ``Partition.bin_index`` folds into the last bin.
-        """
-        t = np.asarray(t, dtype=float)
-        return (t >= self.start) & (t <= self.end)
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,14 @@ def _cell_edges(window: TimeWindow, resolution: float) -> np.ndarray:
     # NaN fails every comparison, so a bare sign check would let it through
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
-    n_cells = int(math.ceil(window.length / resolution - 1e-12))
+    cells = window.length / resolution - 1e-12  # checked as a float: a tiny resolution gives inf
+    if cells > MAX_CELLS:
+        n_cells = math.ceil(cells) if math.isfinite(cells) else cells
+        raise ValueError(
+            f"resolution {resolution!r} cuts the {window.length:g} s window into {n_cells:.7g} cells, "
+            f"more than the {MAX_CELLS} allowed"
+        )
+    n_cells = int(math.ceil(cells))
     if n_cells < 1:
         raise ValueError("resolution larger than the window")
     edges = window.start + resolution * np.arange(n_cells + 1)

@@ -18,7 +18,7 @@ import numpy as np
 from .binning import SearchConfig, learn
 from .core import CountTable, EventSeries, TimeWindow
 from .dataio import save_model
-from .regression import FitConfig
+from .regression import CellData, FitConfig
 from .simulate import PiecewiseLinearRate, af_rate, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
 from .stat_tests import check_test_settings
@@ -186,12 +186,14 @@ def run_experiment_1(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, _, train_table, test_table = _dataset(cfg)
+    fit_config = cfg.fit_config()
+    data = CellData(train_table, fit_config)  # every eta reuses the fits of the ones before
     rows = []
     for eta_minutes in cfg.eta_sweep_minutes:
         search = cfg.search_config(eta_seconds=eta_minutes * 60.0)
         report = learn(
             None, train_table, test_table,
-            method="relaxed", fit_config=cfg.fit_config(), config=search,
+            method="relaxed", fit_config=fit_config, config=search, data=data,
         )
         rows.append([f"{eta_minutes:.6g}", report.n_bins, report.rmse_train, report.rmse_test])
     path = out_dir / "exp1.csv"
@@ -208,11 +210,15 @@ def run_experiment_2(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train, _, train_table, test_table = _dataset(cfg)
+    fit_config = cfg.fit_config()
+    # one memo for all three calls: the ivanov and tikhonov restarts draw from
+    # the same seed streams, so tikhonov finds many of its intervals fitted
+    data = CellData(train_table, fit_config)
     rows = []
 
     unbinned = learn(
         None, train_table, test_table, method="equal:1",
-        fit_config=cfg.fit_config(), config=cfg.search_config(),
+        fit_config=fit_config, config=cfg.search_config(), data=data,
     )
     rows.append([cfg.instance, "unbinned", unbinned.rmse_train, unbinned.rmse_test,
                  unbinned.n_bins, None, None, None])
@@ -223,7 +229,7 @@ def run_experiment_2(cfg: ExperimentConfig) -> Path:
     ):
         report = learn(
             events, train_table, test_table, method=method,
-            fit_config=cfg.fit_config(), config=cfg.search_config(), compare_equal=True,
+            fit_config=fit_config, config=cfg.search_config(), compare_equal=True, data=data,
         )
         rows.append([
             cfg.instance, label, report.rmse_train, report.rmse_test, report.n_bins,

@@ -40,17 +40,13 @@ class GeoEventSeries:
         for name, arr in (("day", day), ("seconds", seconds), ("lon", lon), ("lat", lat)):
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_events(self) -> int:
-        return int(self.day.size)
-
     def day_ids(self) -> np.ndarray:
         return np.unique(self.day)
 
 
 @dataclass(frozen=True)
 class AreaPartition:
-    """Nearest-centroid assignment of planar points; ties go to the lowest index."""
+    """Planar centroids of the areas, one (lon, lat) row per area."""
 
     centroids: np.ndarray
 
@@ -60,15 +56,6 @@ class AreaPartition:
             raise ValueError("centroids must have shape (K, 2)")
         object.__setattr__(self, "centroids", c)
 
-    @property
-    def n_areas(self) -> int:
-        return int(self.centroids.shape[0])
-
-    def assign(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        pts = np.column_stack((np.asarray(lon, dtype=float), np.asarray(lat, dtype=float)))
-        d2 = ((pts[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
-
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -76,10 +63,6 @@ class KMeansResult:
     labels: np.ndarray
     wcss_history: tuple[float, ...]
     n_iter: int
-
-    @property
-    def wcss(self) -> float:
-        return self.wcss_history[-1]
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

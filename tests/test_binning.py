@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from nhpplearn import (
     poisson_test_days,
 )
 from nhpplearn.binning import DIVIDERS, GAMMA_GRID, _SearchEngine, parse_method
+from nhpplearn.experiments import ETA_SWEEP_MINUTES
 from nhpplearn.regression import CellData
 
 W = TimeWindow(0.0, 86400.0)
@@ -461,3 +463,78 @@ def test_learn_writes_jsonl_trace(tmp_path):
     best_rows = [r for r in lines if r["event"] == "best"]
     assert len(best_rows) == 2  # one summary row per restart
     assert {r["restart"] for r in lines} == {0, 1}
+
+
+# --- one CellData shared by several learn calls -------------------------------
+
+def report_bytes(rep):
+    # every FitReport field, floats by repr, plus the fitted coefficients
+    return json.dumps(rep.summary_dict()), rep.model.coefficients.tobytes()
+
+
+def learn_alone_and_shared(tmp_path, calls, train_counts, fit_config):
+    """Run each (events, method, config, kwargs) call twice: alone, and on one shared CellData.
+
+    Returns the pairs of (report, JSONL trace bytes); the shared calls run in
+    order, so each finds the fits of the calls before it.
+    """
+    shared = CellData(train_counts, fit_config)
+    pairs = []
+    for i, (events, method, config, kwargs) in enumerate(calls):
+        out = []
+        for side, data in (("alone", None), ("shared", shared)):
+            path = tmp_path / f"{i}-{side}.jsonl"
+            rep = learn(
+                events, train_counts, method=method, fit_config=fit_config,
+                config=replace(config, trace_path=str(path)), data=data, **kwargs,
+            )
+            out.append((report_bytes(rep), path.read_bytes() if path.exists() else None))
+        pairs.append(out)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_data_over_the_eta_grid_equals_learn_alone(tmp_path, seed):
+    counts = CountTable.from_events(steep_series(3, 400, seed=seed), 300.0)
+    test = CountTable.from_events(steep_series(2, 400, seed=seed + 100), 300.0)
+    cfg = SearchConfig(max_depth=12, max_bins=96, max_restarts=3, seed=seed)
+    calls = [
+        (None, "relaxed", replace(cfg, eta_seconds=eta * 60.0), {"test_counts": test})
+        for eta in ETA_SWEEP_MINUTES
+    ]
+    for alone, shared in learn_alone_and_shared(tmp_path, calls, counts, FitConfig(degree=3)):
+        assert shared == alone
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_data_over_ivanov_then_tikhonov_equals_learn_alone(tmp_path, seed):
+    events = steep_series(6, 300, seed=seed)
+    counts = CountTable.from_events(events, 300.0)
+    test = CountTable.from_events(steep_series(2, 300, seed=seed + 100), 300.0)
+    cfg = SearchConfig(max_depth=8, max_bins=8, max_restarts=4, max_retries=2, seed=seed)
+    both = {"test_counts": test, "compare_equal": True}
+    calls = [
+        (None, "equal:1", cfg, {"test_counts": test}),
+        (events, "ivanov", cfg, both),
+        (None, "tikhonov", cfg, both),  # gamma picked on a held-out tail, from a CellData of its own
+    ]
+    pairs = learn_alone_and_shared(tmp_path, calls, counts, FitConfig(degree=1))
+    for alone, shared in pairs:
+        assert shared == alone
+    assert pairs[1][0][1] and pairs[2][0][1]  # both searches wrote a trace
+
+
+def test_learn_rejects_data_of_another_table_or_fit_config():
+    events = steep_series(2, 200, seed=7)
+    counts = CountTable.from_events(events, 300.0)
+    twin = CountTable(counts.window, counts.resolution, counts.counts)  # equal, but another object
+    with pytest.raises(ValueError, match="^data was built on another count table than train_counts$"):
+        learn(None, counts, method="equal:2", data=CellData(twin))
+    message = (
+        "data was built under FitConfig(degree=3, clamp=True), "
+        "not under fit_config FitConfig(degree=1, clamp=True)"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        learn(None, counts, method="equal:2", fit_config=FitConfig(degree=1), data=CellData(counts))
+    # the default FitConfig matches a CellData built without one
+    assert learn(None, counts, method="equal:2", data=CellData(counts)).n_bins == 2

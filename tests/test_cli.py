@@ -255,6 +255,7 @@ def test_learn_relaxed_requires_eta(runner, tmp_path):
     (["--resolution", "0"], "resolution must be positive and finite, got 0.0"),
     (["--resolution", "-5"], "resolution must be positive and finite, got -5.0"),
     (["--resolution", "nan"], "resolution must be positive and finite, got nan"),
+    (["--resolution", "1e-9"], "resolution 1e-09 cuts the 86400 s window into 8.64e+13 cells"),
 ])
 def test_learn_rejects_non_finite_and_non_positive_settings(runner, tmp_path, args, message):
     good = tmp_path / "ok.csv"
@@ -298,6 +299,23 @@ def test_eval_rejects_a_bad_resolution(runner, tmp_path, value):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"resolution must be positive and finite, got {float(value)!r}" in result.output
+
+
+def test_eval_names_a_resolution_with_too_many_cells(runner, tmp_path):
+    simulate_small(runner, tmp_path)
+    run_ok(runner, [
+        "learn", "--input", str(tmp_path / "train.csv"), "--method", "equal:4", "--degree", "1",
+        "--out-dir", str(tmp_path / "fit"),
+    ])
+    result = runner.invoke(main, [
+        "eval", "--model", str(tmp_path / "fit" / "model.json"), "--input", str(tmp_path / "test.csv"),
+        "--resolution", "1e-9",
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a MemoryError traceback
+    assert "Error: resolution 1e-09 cuts the 86400 s window into 8.64e+13 cells, more than the 1000000 allowed" in (
+        result.output
+    )
 
 
 def test_exp1_rejects_an_eta_sweep_that_is_not_numbers(runner, tmp_path):

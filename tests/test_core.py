@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from nhpplearn import (
     penalized_risk,
     vc_bound_xi,
 )
+from nhpplearn.core import MAX_CELLS
 
 DAY = TimeWindow(0.0, 86400.0)
 
@@ -36,13 +38,6 @@ def test_window_rejects_reversed_bounds():
         TimeWindow(10.0, 10.0)
     with pytest.raises(ValueError):
         TimeWindow(500.0, 100.0)
-
-
-def test_window_contains_includes_both_bounds():
-    # arrivals live in [start, end) but evaluation probes may sit on end
-    w = TimeWindow(0.0, 100.0)
-    assert w.contains(np.array([0.0, 50.0, 100.0])).all()
-    assert not w.contains(np.array([-0.001, 100.001])).any()
 
 
 def test_event_series_sorts_each_day():
@@ -97,6 +92,12 @@ def test_count_table_validates_inputs():
             CountTable.from_events(series, bad)
     with pytest.raises(ValueError, match="resolution larger than the window"):
         CountTable.from_events(series, 1e20)
+    # a fine grid is named before numpy is asked for terabytes
+    for bad, cells in ((1e-9, "8.64e+13"), (5e-324, "inf"), (86400.0 / (MAX_CELLS + 0.5), "1000001")):
+        message = f"resolution {bad!r} cuts the 86400 s window into {cells} cells, more than the 1000000 allowed"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CountTable.from_events(series, bad)
+    assert CountTable.from_events(series, 86400.0 / MAX_CELLS).n_cells == MAX_CELLS
     with pytest.raises(ValueError, match="nonnegative"):
         CountTable(TimeWindow(0.0, 60.0), 60.0, np.array([[-1.0]]))
     for bad in (np.nan, np.inf):

@@ -162,7 +162,7 @@ def test_plain_files_skip_the_row_parser(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dataio, "_parse_event_rows", refuse)
     assert load_events(path).total_events == 9000
-    assert load_geo_events(geo).n_events == 2
+    assert load_geo_events(geo).day.size == 2
 
 
 # --- bulk parse against the row parser --------------------------------------------

@@ -23,6 +23,7 @@ from nhpplearn.experiments import (
     run_experiment_3,
 )
 from nhpplearn import load_model
+from nhpplearn.regression import CellData
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -175,6 +176,29 @@ def test_exp2_is_byte_reproducible(tmp_path):
     assert a == b
 
 
+# --- fits shared across the learn calls of one experiment ---------------------
+
+@pytest.mark.parametrize("run, tiny", [(run_experiment_1, tiny_exp1), (run_experiment_2, tiny_exp2)])
+def test_experiment_fits_each_interval_once_per_table(tmp_path, monkeypatch, run, tiny):
+    # every learn call on the training table reads one CellData, so no
+    # (lo, hi) and no constant cell slice is fitted twice on that table; the
+    # gamma selection fits a table of its own
+    keys = []
+    tables = []  # keeps each table alive, so its id stays unique
+    fit = CellData._fit
+
+    def counted(self, lo, hi, sl):
+        tables.append(self.table)
+        constant = min(self.config.degree, sl.stop - sl.start - 1) <= 0
+        keys.append((id(self.table), "cells", sl.start, sl.stop) if constant else (id(self.table), lo, hi))
+        return fit(self, lo, hi, sl)
+
+    monkeypatch.setattr(CellData, "_fit", counted)
+    run(tiny(tmp_path))
+    assert keys
+    assert len(keys) == len(set(keys))
+
+
 # --- experiment 3 -------------------------------------------------------------
 
 def tiny_exp3(out_dir, seed=0):
@@ -198,7 +222,7 @@ def test_exp3_outputs(tmp_path):
 
     index = json.loads((tmp_path / "index.json").read_text())
     assert index["clusters"] == 3
-    assert sum(index["events_per_area"]) == geo.n_events
+    assert sum(index["events_per_area"]) == geo.day.size
     assert index["train_days"] == [0, 1]
     assert index["test_days"] == [2]
     assert len(index["models"]) == 3
@@ -239,4 +263,4 @@ def test_exp3_is_reproducible(tmp_path):
 
 def test_synthetic_geo_depends_on_seed():
     g0, g1 = tiny_geo(seed=0), tiny_geo(seed=1)
-    assert g0.n_events != g1.n_events or not np.array_equal(g0.lon, g1.lon)
+    assert g0.day.size != g1.day.size or not np.array_equal(g0.lon, g1.lon)
