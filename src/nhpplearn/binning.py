@@ -19,6 +19,10 @@ the stretches the current fit explains worst:
   length drops to twice the floor ``eta`` (used for bin-budget sweeps).
 
 Across restarts, ``learn`` keeps the partition with the lowest training risk.
+
+A run's one record is its ``SearchTrace``, plain rows of the states it visited
+and of its events; the best state under a ``gamma`` and the ``TraceEntry``
+records of the JSONL trace are derived from those rows when read.
 """
 
 from __future__ import annotations
@@ -106,35 +110,64 @@ class TraceEntry:
 
 @dataclass
 class SearchTrace:
-    """Full audit of one divider run plus the best state it found."""
+    """Record of one divider run: the states it visited and its events.
+
+    ``states`` has a ``(knot, risk, penalty sum)`` row for the root (knot
+    None) and for each split (the knot it added); a state's knots are the
+    sorted knots up to it, and ``risk + gamma * penalty sum`` its penalized
+    risk.  ``events`` has a ``(kind, interval, proposed knot, depth, reason,
+    left outcome, right outcome)`` row per root, probe, split and leaf, the
+    outcomes being an ivanov probe's day tests.  ``gamma`` is the run's weight.
+    """
 
     method: str
     window: TimeWindow
-    entries: list[TraceEntry] = field(default_factory=list)
-    penalty_sums: list[float] = field(default_factory=list)  # one per root or split entry
-    best_knots: tuple[float, ...] = ()
-    best_risk: float = math.inf
-    best_penalized: float | None = None
+    gamma: float | None = None
+    states: list[tuple[float | None, float, float]] = field(default_factory=list)
+    events: list[tuple] = field(default_factory=list)
+
+    @property
+    def entries(self) -> list[TraceEntry]:
+        """Every event with the state it left behind, as ``TraceEntry`` records (built on each read)."""
+        entries = []
+        states = iter(self.states)
+        knots: list[float] = []  # kept sorted
+        for kind, interval, proposed, depth, reason, left, right in self.events:
+            accepted = kind == "root" or kind == "split"  # the events that make a state
+            if accepted:
+                knot, risk, s_penalty = next(states)
+                if knot is not None:
+                    bisect.insort(knots, knot)
+            penalized = None if self.gamma is None else risk + self.gamma * s_penalty
+            tests = (None if t is None else t.to_dict() for t in (left, right))
+            entries.append(
+                TraceEntry(kind, interval, proposed, accepted, tuple(knots), len(knots) + 1, risk, penalized, depth,
+                           reason, *tests)
+            )
+        return entries
 
     def best_partition(self) -> Partition:
-        return Partition(window=self.window, knots=self.best_knots)
+        """The best visited state under the run's own ``gamma``."""
+        return Partition(window=self.window, knots=self.best_state(self.gamma)[0])
 
     def best_state(self, gamma: float | None) -> tuple[tuple[float, ...], float, float | None]:
         """The best visited state under ``gamma``: (knots, criterion, penalized risk).
 
-        The states are the root and each split, in order.  Tikhonov ranks
-        them by ``risk + gamma * penalty sum``, the other dividers by
-        ``risk``; the comparison is strict, so a tie keeps the earlier state.
+        Tikhonov ranks the states by ``risk + gamma * penalty sum``, the other
+        dividers by ``risk``; the comparison is strict, so a tie keeps the
+        earlier state.
         """
-        best: tuple[tuple[float, ...], float, float | None] = ((), math.inf, None)
-        states = (e for e in self.entries if e.kind == "split" or e.kind == "root")
         tikhonov = self.method == "tikhonov"
-        for entry, s_penalty in zip(states, self.penalty_sums):
-            penalized = None if gamma is None else entry.risk + gamma * s_penalty
-            value = penalized if tikhonov else entry.risk
-            if value < best[1]:
-                best = (entry.knots, value, penalized)
-        return best
+        if tikhonov and gamma is None:
+            raise ValueError("tikhonov states are ranked under a gamma, got None")
+        best, best_value, best_penalized = 0, math.inf, None
+        for i, (_, risk, s_penalty) in enumerate(self.states):
+            penalized = None if gamma is None else risk + gamma * s_penalty
+            value = penalized if tikhonov else risk
+            if value < best_value:
+                best, best_value, best_penalized = i, value, penalized
+        knots = tuple(sorted(knot for knot, _, _ in self.states[1 : best + 1]))
+        return knots, best_value, best_penalized
 
 
 def equal_partition(window: TimeWindow, n_bins: int) -> Partition:
@@ -165,8 +198,6 @@ class _SearchEngine:
     ):
         if method not in DIVIDERS:
             raise ValueError(f"unknown divider '{method}' (expected one of {', '.join(DIVIDERS)})")
-        if method == "tikhonov" and config.gamma is None:
-            raise ValueError("tikhonov division requires gamma to be set")
         if method == "relaxed" and config.eta_seconds is None:
             raise ValueError("relaxed division requires eta_seconds")
         if method == "ivanov" and events is None:
@@ -181,12 +212,10 @@ class _SearchEngine:
         self.rng = np.random.default_rng(
             np.random.SeedSequence((int(config.seed), _SEARCH_DOMAIN, int(restart_index)))
         )
-        self.gamma = config.gamma
         self.m_total = data.total_points
-        self.knots: list[float] = []  # kept sorted
         self.s_weighted = 0.0  # sum of m_k * R_k over current bins
         self.s_penalty = 0.0  # sum of m_k * R_k / len_k over all bins but the last
-        self.trace = SearchTrace(method=method, window=self.window)
+        self.trace = SearchTrace(method=method, window=self.window, gamma=config.gamma)
         self._queue_seq = 0  # insertion tiebreak keeps heap order deterministic
 
     # -- bookkeeping -------------------------------------------------------
@@ -196,23 +225,8 @@ class _SearchEngine:
             return 0.0
         return m * risk / (hi - lo)
 
-    def _risk8(self) -> float:
-        return self.s_weighted / self.m_total
-
-    def _risk9(self) -> float | None:
-        if self.gamma is None:
-            return None
-        return self._risk8() + self.gamma * self.s_penalty
-
-    def _record(self, **kwargs) -> None:
-        entry = TraceEntry(
-            knots=tuple(self.knots),
-            n_bins=len(self.knots) + 1,
-            risk=self._risk8(),
-            penalized=self._risk9(),
-            **kwargs,
-        )
-        self.trace.entries.append(entry)
+    def _add_state(self, knot: float | None) -> None:
+        self.trace.states.append((knot, self.s_weighted / self.m_total, self.s_penalty))
 
     # -- the refinement loop -----------------------------------------------
 
@@ -221,8 +235,8 @@ class _SearchEngine:
         _, risk, m = self.data.fit_interval(lo, hi)
         self.s_weighted = m * risk
         self.s_penalty = self._penalty_term(lo, hi, risk, m)
-        self._record(kind="root", interval=(lo, hi), proposed_knot=None, accepted=True, depth=0)
-        self.trace.penalty_sums.append(self.s_penalty)
+        self._add_state(None)
+        self.trace.events.append(("root", (lo, hi), None, 0, None, None, None))
         # (-risk, insertion tiebreak, lo, hi, depth, risk, occupancy)
         heap: list[tuple[float, int, float, float, int, float, int]] = []
         self._enqueue(heap, lo, hi, 0, risk, m)
@@ -232,9 +246,7 @@ class _SearchEngine:
             if children is not None:
                 for c_lo, c_hi, c_risk, c_m in children:
                     self._enqueue(heap, c_lo, c_hi, depth + 1, c_risk, c_m)
-        trace = self.trace
-        trace.best_knots, trace.best_risk, trace.best_penalized = trace.best_state(self.gamma)
-        return trace
+        return self.trace
 
     def _enqueue(self, heap: list, lo: float, hi: float, depth: int, risk: float, m: int) -> None:
         heapq.heappush(heap, (-risk, self._queue_seq, lo, hi, depth, risk, m))
@@ -252,7 +264,7 @@ class _SearchEngine:
             self.s_weighted += m * risk
             self.s_penalty += self._penalty_term(a, b, risk, m)
             children.append((a, b, risk, m))
-        bisect.insort(self.knots, p)
+        self._add_state(p)
         return children
 
     def _day_slices(self, lo: float, hi: float) -> list[np.ndarray]:
@@ -288,52 +300,42 @@ class _SearchEngine:
                 return p
         return 0.5 * (lo + hi)
 
-    def _leaf(self, lo: float, hi: float, depth: int, reason: str, **tests) -> None:
-        self._record(
-            kind="leaf", interval=(lo, hi), proposed_knot=None, accepted=False, depth=depth,
-            reason=reason, **tests,
-        )
-
     def _visit(
         self, lo: float, hi: float, depth: int, risk: float, m: int
     ) -> list[tuple[float, float, float, int]] | None:
         """Try to split one queued interval of fit (risk, m); returns the children or None."""
+        events = self.trace.events
+        reason = None
         if depth >= self.config.max_depth:
-            self._leaf(lo, hi, depth, "max-depth")
-            return None
-        if len(self.knots) + 1 >= self.config.max_bins:
-            self._leaf(lo, hi, depth, "max-bins")
-            return None
-        if hi - lo <= 1e-9:
-            self._leaf(lo, hi, depth, "degenerate")
-            return None
-        if self.method == "relaxed" and (hi - lo) <= 2.0 * self.config.eta_seconds:
-            self._leaf(lo, hi, depth, "eta-floor")
+            reason = "max-depth"
+        elif len(self.trace.states) >= self.config.max_bins:
+            reason = "max-bins"
+        elif hi - lo <= 1e-9:
+            reason = "degenerate"
+        elif self.method == "relaxed" and (hi - lo) <= 2.0 * self.config.eta_seconds:
+            reason = "eta-floor"
+        if reason is not None:
+            events.append(("leaf", (lo, hi), None, depth, reason, None, None))
             return None
 
         days = self._day_slices(lo, hi) if self.method == "ivanov" else None
         attempts = 0
         while True:
             p = self._sample_point(lo, hi)
-            tests = {}
+            left = right = None
             if days is not None:
                 left, right = self._test_halves(days, lo, hi, p)
-                tests = {"left_test": left.to_dict(), "right_test": None if right is None else right.to_dict()}
                 if right is not None and right.passed:
                     # both halves look homogeneous; spend a retry hunting for
                     # a split point that still exposes structure
-                    self._record(
-                        kind="probe", interval=(lo, hi), proposed_knot=p, accepted=False, depth=depth,
-                        **tests,
-                    )
+                    events.append(("probe", (lo, hi), p, depth, None, left, right))
                     attempts += 1
                     if attempts > self.config.max_retries:
-                        self._leaf(lo, hi, depth, "homogeneous", **tests)
+                        events.append(("leaf", (lo, hi), None, depth, "homogeneous", left, right))
                         return None
                     continue
             children = self._split_interval(lo, hi, p, risk, m)
-            self._record(kind="split", interval=(lo, hi), proposed_knot=p, accepted=True, depth=depth, **tests)
-            self.trace.penalty_sums.append(self.s_penalty)
+            events.append(("split", (lo, hi), p, depth, None, left, right))
             return children
 
 
@@ -352,8 +354,10 @@ def divide(
     intervals reach twice ``config.eta_seconds``.  ``restart_index`` picks
     the random stream, as restart ``r`` of ``learn`` does.
     """
-    engine = _SearchEngine(CellData(counts, fit_config), events, method, config or SearchConfig(), restart_index)
-    return engine.run()
+    config = config or SearchConfig()
+    if method == "tikhonov" and config.gamma is None:
+        raise ValueError("tikhonov division requires gamma to be set")
+    return _SearchEngine(CellData(counts, fit_config), events, method, config, restart_index).run()
 
 
 def parse_method(method: str) -> tuple[str, int | None]:
@@ -411,8 +415,7 @@ def learn(
         raise ValueError(f"data was built under {data.config}, not under fit_config {fit_config}")
 
     if kind == "tikhonov" and config.gamma is None:
-        gamma = _select_gamma(train_counts, fit_config, config)
-        config = replace(config, gamma=gamma)
+        config = replace(config, gamma=_select_gamma(train_counts, fit_config, config))
 
     if kind == "equal":
         best_partition = equal_partition(train_counts.window, n_equal)
@@ -538,9 +541,7 @@ def _select_gamma(train_counts: CountTable, fit_config: FitConfig | None, config
     fit_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[:n_fit])
     val_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[n_fit:])
     data = CellData(fit_table, fit_config)
-    # the runs need some gamma to fill their best state; which one does not matter
-    search_config = replace(config, gamma=GAMMA_GRID[0])
-    winners, _ = _search_best(None, data, "tikhonov", search_config, GAMMA_GRID)
+    winners, _ = _search_best(None, data, "tikhonov", config, GAMMA_GRID)
     best_gamma = GAMMA_GRID[0]
     best_rmse = math.inf
     for gamma, partition in zip(GAMMA_GRID, winners):
@@ -556,17 +557,7 @@ def _write_trace(path: str, traces: Sequence[SearchTrace]) -> None:
     with open(path, "w") as fh:
         for r, trace in enumerate(traces):
             for i, entry in enumerate(trace.entries):
-                record = {"restart": r, "event": i, **asdict(entry)}
-                fh.write(json.dumps(record) + "\n")
-            fh.write(
-                json.dumps(
-                    {
-                        "restart": r,
-                        "event": "best",
-                        "knots": list(trace.best_knots),
-                        "risk": trace.best_risk,
-                        "penalized": trace.best_penalized,
-                    }
-                )
-                + "\n"
-            )
+                fh.write(json.dumps({"restart": r, "event": i, **asdict(entry)}) + "\n")
+            knots, risk, penalized = trace.best_state(trace.gamma)
+            best = {"restart": r, "event": "best", "knots": list(knots), "risk": risk, "penalized": penalized}
+            fh.write(json.dumps(best) + "\n")

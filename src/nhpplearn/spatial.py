@@ -183,6 +183,8 @@ def learn_per_area(
     are independent but the whole run is reproducible.
     """
     config = config or SearchConfig()
+    if config.trace_path is not None:
+        raise ValueError("learn_per_area writes no search trace; leave config.trace_path unset")
     fit_config = fit_config or FitConfig()
     all_days = geo.day_ids()
     train_ids = np.asarray(all_days if train_days is None else train_days, dtype=int)
@@ -197,7 +199,7 @@ def learn_per_area(
     for a, train, test in zip(range(k), train_series, test_series):
         train_table = CountTable.from_events(train, resolution)
         test_table = None if test is None else CountTable.from_events(test, resolution)
-        area_config = replace(config, seed=config.seed + a, trace_path=None)
+        area_config = replace(config, seed=config.seed + a)
         report = learn(
             train,
             train_table,

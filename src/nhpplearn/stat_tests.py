@@ -213,8 +213,9 @@ def poisson_test_days(
 
     ``per-day`` tests days in order and passes when the fraction of passing
     days reaches ``min_pass_fraction`` (default 1 - 2 * epsilon); it stops
-    at the first day that settles the verdict, so days after it are neither
-    tested nor validated.  ``pooled`` merges all days into one sample first.
+    at the first day that settles the verdict; a day after it is not tested,
+    but its first and last arrivals are checked, which bounds a sorted day
+    (``EventSeries`` keeps days sorted).  ``pooled`` merges all days first.
     """
     check_test_settings(method, mode, min_pass_fraction)
     if not (0.0 < epsilon < 1.0):
@@ -241,4 +242,8 @@ def poisson_test_days(
         # the verdict of _outcome, without building one per day
         if m == 0 or stat <= ks_critical(m, epsilon) or m == 1:
             n_passed += 1
+    for d in range(n_tested, n_days):  # NaN fails both bounds
+        arr = day_arrivals[d]
+        if len(arr) and not (lo <= arr[0] and arr[-1] < hi):
+            raise ValueError(f"day {d}: arrivals must lie in [{lo}, {hi})")
     return MultiDayOutcome(clears(n_passed), n_days, n_tested, n_passed, threshold, epsilon, method, mode)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from nhpplearn import (
 from nhpplearn.binning import DIVIDERS, GAMMA_GRID, _SearchEngine, parse_method
 from nhpplearn.experiments import ETA_SWEEP_MINUTES
 from nhpplearn.regression import CellData
+from nhpplearn.simulate import af_rate, make_dataset
 
 W = TimeWindow(0.0, 86400.0)
 
@@ -160,8 +162,8 @@ def test_relaxed_is_deterministic_per_restart_index():
     a = divide("relaxed", counts, config=cfg, restart_index=2)
     b = divide("relaxed", counts, config=cfg, restart_index=2)
     c = divide("relaxed", counts, config=cfg, restart_index=3)
-    assert a.best_knots == b.best_knots
-    assert a.best_knots != c.best_knots
+    assert a.best_partition() == b.best_partition()
+    assert a.best_partition() != c.best_partition()
 
 
 # --- ivanov division ----------------------------------------------------------
@@ -255,8 +257,10 @@ def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, re
     _, risks, sizes = fit_partition(CellData(counts, fit), part)
     penalized = penalized_risk(sizes, risks, part, gamma)
     want = penalized if method == "tikhonov" else binned_risk(sizes, risks)
-    np.testing.assert_allclose(trace.best_risk, want, rtol=1e-9)
-    np.testing.assert_allclose(trace.best_penalized, penalized, rtol=1e-9)
+    knots, best_risk, best_penalized = trace.best_state(gamma)
+    assert knots == part.knots
+    np.testing.assert_allclose(best_risk, want, rtol=1e-9)
+    np.testing.assert_allclose(best_penalized, penalized, rtol=1e-9)
     # knots are inserted in order, so every entry holds them sorted and distinct
     for entry in trace.entries:
         assert list(entry.knots) == sorted(set(entry.knots))
@@ -273,7 +277,7 @@ def test_ties_keep_the_earliest_state(method):
     cfg = SearchConfig(max_depth=4, max_bins=8, gamma=1e-2, eta_seconds=600.0)
     trace = divide(method, counts, None, FitConfig(degree=1), cfg)
     assert sum(e.kind == "split" for e in trace.entries) > 0
-    assert trace.best_knots == ()
+    assert trace.best_partition().knots == ()
     assert trace.best_state(1.0) == ((), 0.0, 0.0)
 
 
@@ -419,14 +423,14 @@ def test_tikhonov_search_path_does_not_depend_on_gamma(seed):
     small, large = runs.values()
     # every event matches but the penalized risk, which is reported under each run's gamma
     assert [replace(e, penalized=None) for e in small.entries] == [replace(e, penalized=None) for e in large.entries]
-    assert small.penalty_sums == large.penalty_sums
+    assert small.states == large.states and small.events == large.events
     # gamma only picks the best visited state, and here it picks a different one
-    assert small.best_knots != large.best_knots
+    assert small.best_partition() != large.best_partition()
     for g, run in runs.items():
         other = large if run is small else small
         knots, risk, penalized = other.best_state(g)
-        assert bits(*knots) == bits(*run.best_knots)
-        assert bits(risk, penalized) == bits(run.best_risk, run.best_penalized)
+        assert bits(*knots) == bits(*run.best_partition().knots)
+        assert bits(risk, penalized) == bits(*run.best_state(run.gamma)[1:])
 
 
 def test_learn_compare_equal_attaches_consistent_baseline():
@@ -463,6 +467,46 @@ def test_learn_writes_jsonl_trace(tmp_path):
     best_rows = [r for r in lines if r["event"] == "best"]
     assert len(best_rows) == 2  # one summary row per restart
     assert {r["restart"] for r in lines} == {0, 1}
+
+
+GOLDEN_TRACES = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("ivanov", {}),
+    ("tikhonov", {}),  # gamma picked from the grid
+    ("relaxed", {"eta_seconds": 3600.0}),
+])
+def test_learn_trace_matches_its_golden_file(tmp_path, method, extra):
+    # the files pin every byte of the JSONL trace format: fields, order and float reprs
+    train, _ = make_dataset(af_rate(), 4, 0, seed=0, count_range=(300, 400))
+    counts = CountTable.from_events(train, 300.0)
+    path = tmp_path / "trace.jsonl"
+    cfg = SearchConfig(max_depth=6, max_bins=8, max_restarts=2, max_retries=2, seed=0, trace_path=str(path), **extra)
+    learn(train, counts, method=method, fit_config=FitConfig(degree=1), config=cfg)
+    assert path.read_bytes() == (GOLDEN_TRACES / f"trace_{method}.jsonl").read_bytes()
+
+
+def test_trace_entries_replay_states_and_events():
+    events = steep_series(3, 250, seed=5)
+    counts = CountTable.from_events(events, 300.0)
+    trace = divide("ivanov", counts, events, FitConfig(degree=1), SearchConfig(max_depth=5, max_bins=6, gamma=1e-3))
+    entries = trace.entries
+    assert len(entries) == len(trace.events)
+    made = [e for e in entries if e.kind in ("root", "split")]
+    assert made[-1].knots == tuple(sorted(k for k, _, _ in trace.states[1:]))
+    assert [(e.risk, e.penalized) for e in made] == [(r, r + 1e-3 * s) for _, r, s in trace.states]
+    for entry, (kind, interval, knot, depth, reason, left, right) in zip(entries, trace.events):
+        assert (entry.kind, entry.interval, entry.proposed_knot, entry.depth, entry.reason) == (
+            kind, interval, knot, depth, reason
+        )
+        assert entry.left_test == (None if left is None else left.to_dict())
+        assert entry.right_test == (None if right is None else right.to_dict())
+        assert entry.n_bins == len(entry.knots) + 1
+    # tikhonov ranks states only under a gamma
+    tik = divide("tikhonov", counts, None, FitConfig(degree=1), SearchConfig(max_bins=4, gamma=1e-3))
+    with pytest.raises(ValueError, match="ranked under a gamma"):
+        tik.best_state(None)
 
 
 # --- one CellData shared by several learn calls -------------------------------

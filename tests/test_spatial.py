@@ -215,3 +215,13 @@ def test_learn_per_area_is_deterministic():
     for ra, rb in zip(a.reports, b.reports):
         assert ra.partition.knots == rb.partition.knots
         assert ra.rmse_train == rb.rmse_train
+
+
+def test_learn_per_area_rejects_a_trace_path(tmp_path):
+    # one path cannot hold a trace per area, so the setting is refused, not dropped
+    with pytest.raises(ValueError, match="trace_path"):
+        learn_per_area(
+            synthetic_geo(seed=1), 2, method="equal:2",
+            config=SearchConfig(trace_path=str(tmp_path / "t.jsonl")), resolution=3600.0,
+        )
+    assert not (tmp_path / "t.jsonl").exists()

@@ -454,6 +454,18 @@ def test_poisson_test_days_validation():
         poisson_test_days([np.array([1.0])], 0.0, 10.0, epsilon=1.5)
 
 
+@pytest.mark.parametrize("bad_day", [[0.5, math.nan], [5.0], [-0.1, 0.5], [0.2, 1.0], [math.nan]])
+def test_untested_days_are_range_checked(bad_day):
+    # a clustered first day fails and settles the verdict, so no later day is tested
+    clustered = np.arange(0.001, 0.00951, 0.0005)
+    with pytest.raises(ValueError, match=r"day 1: arrivals must lie in \[0.0, 1.0\)"):
+        poisson_test_days([clustered, np.array(bad_day), np.array([0.5])], 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"day 2: arrivals must lie in"):
+        poisson_test_days([clustered, np.array([0.5, 0.6]), np.array(bad_day)], 0.0, 1.0)
+    out = poisson_test_days([clustered, np.array([0.5, 0.6]), np.array([]), np.array([0.5])], 0.0, 1.0)
+    assert not out.passed and out.n_tested == 1
+
+
 def test_zero_days_pass_vacuously():
     out = poisson_test_days([], 0.0, 10.0)
     assert out.passed and (out.n_days, out.n_tested, out.n_passed) == (0, 0, 0)
