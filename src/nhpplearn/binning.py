@@ -151,7 +151,7 @@ class SearchTrace:
         return Partition(window=self.window, knots=self.best_state(self.gamma)[0])
 
     def best_state(self, gamma: float | None) -> tuple[tuple[float, ...], float, float | None]:
-        """The best visited state under ``gamma``: (knots, criterion, penalized risk).
+        """The best visited state under ``gamma``: (knots, training risk, penalized risk).
 
         Tikhonov ranks the states by ``risk + gamma * penalty sum``, the other
         dividers by ``risk``; the comparison is strict, so a tie keeps the
@@ -160,14 +160,14 @@ class SearchTrace:
         tikhonov = self.method == "tikhonov"
         if tikhonov and gamma is None:
             raise ValueError("tikhonov states are ranked under a gamma, got None")
-        best, best_value, best_penalized = 0, math.inf, None
+        best, best_value, best_risk, best_penalized = 0, math.inf, math.inf, None
         for i, (_, risk, s_penalty) in enumerate(self.states):
             penalized = None if gamma is None else risk + gamma * s_penalty
             value = penalized if tikhonov else risk
             if value < best_value:
-                best, best_value, best_penalized = i, value, penalized
+                best, best_value, best_risk, best_penalized = i, value, risk, penalized
         knots = tuple(sorted(knot for knot, _, _ in self.states[1 : best + 1]))
-        return knots, best_value, best_penalized
+        return knots, best_risk, best_penalized
 
 
 def equal_partition(window: TimeWindow, n_bins: int) -> Partition:
@@ -237,19 +237,24 @@ class _SearchEngine:
         self.s_penalty = self._penalty_term(lo, hi, risk, m)
         self._add_state(None)
         self.trace.events.append(("root", (lo, hi), None, 0, None, None, None))
-        # (-risk, insertion tiebreak, lo, hi, depth, risk, occupancy)
-        heap: list[tuple[float, int, float, float, int, float, int]] = []
-        self._enqueue(heap, lo, hi, 0, risk, m)
+        # (-risk, insertion tiebreak, lo, hi, depth, risk, occupancy, day arrivals);
+        # an ivanov interval carries each day's arrivals in it, as views of the
+        # day arrays (the window holds them all), and its halves are cut from them
+        heap: list[tuple[float, int, float, float, int, float, int, list[np.ndarray] | None]] = []
+        days = list(self.events.days) if self.method == "ivanov" else None
+        self._enqueue(heap, lo, hi, 0, risk, m, days)
         while heap:
-            _, _, a, b, depth, risk, m = heapq.heappop(heap)
-            children = self._visit(a, b, depth, risk, m)
+            _, _, a, b, depth, risk, m, days = heapq.heappop(heap)
+            children = self._visit(a, b, depth, risk, m, days)
             if children is not None:
-                for c_lo, c_hi, c_risk, c_m in children:
-                    self._enqueue(heap, c_lo, c_hi, depth + 1, c_risk, c_m)
+                for c_lo, c_hi, c_risk, c_m, c_days in children:
+                    self._enqueue(heap, c_lo, c_hi, depth + 1, c_risk, c_m, c_days)
         return self.trace
 
-    def _enqueue(self, heap: list, lo: float, hi: float, depth: int, risk: float, m: int) -> None:
-        heapq.heappush(heap, (-risk, self._queue_seq, lo, hi, depth, risk, m))
+    def _enqueue(
+        self, heap: list, lo: float, hi: float, depth: int, risk: float, m: int, days: list[np.ndarray] | None
+    ) -> None:
+        heapq.heappush(heap, (-risk, self._queue_seq, lo, hi, depth, risk, m, days))
         self._queue_seq += 1
 
     def _split_interval(
@@ -267,31 +272,27 @@ class _SearchEngine:
         self._add_state(p)
         return children
 
-    def _day_slices(self, lo: float, hi: float) -> list[np.ndarray]:
-        """Each day's arrivals in [lo, hi), as views of the sorted day arrays."""
-        return [arr[arr.searchsorted(lo) : arr.searchsorted(hi)] for arr in self.events.days]
-
     def _test_halves(
         self, days: list[np.ndarray], lo: float, hi: float, p: float
-    ) -> tuple[MultiDayOutcome, MultiDayOutcome | None]:
-        """Test [lo, p), then [p, hi) only if [lo, p) passed; ``days`` = ``_day_slices(lo, hi)``.
+    ) -> tuple[MultiDayOutcome, MultiDayOutcome | None, tuple[list[np.ndarray], list[np.ndarray]]]:
+        """Test [lo, p), then [p, hi) only if [lo, p) passed; ``days`` holds each day's arrivals in [lo, hi).
 
         A probe splits when either half fails, so a failing left half settles
-        it and the right half comes back as None.
+        it and the right half comes back as None.  The days of both halves
+        come back too, for the children of a split.
         """
         cfg = self.config
         cuts = [arr.searchsorted(p) for arr in days]
+        halves = [arr[:c] for arr, c in zip(days, cuts)], [arr[c:] for arr, c in zip(days, cuts)]
         left = poisson_test_days(
-            [arr[:c] for arr, c in zip(days, cuts)], lo, p,
-            cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction,
+            halves[0], lo, p, cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction
         )
         if not left.passed:
-            return left, None
+            return left, None, halves
         right = poisson_test_days(
-            [arr[c:] for arr, c in zip(days, cuts)], p, hi,
-            cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction,
+            halves[1], p, hi, cfg.epsilon, cfg.test_method, cfg.test_mode, cfg.min_pass_fraction
         )
-        return left, right
+        return left, right, halves
 
     def _sample_point(self, lo: float, hi: float) -> float:
         for _ in range(64):
@@ -301,9 +302,9 @@ class _SearchEngine:
         return 0.5 * (lo + hi)
 
     def _visit(
-        self, lo: float, hi: float, depth: int, risk: float, m: int
-    ) -> list[tuple[float, float, float, int]] | None:
-        """Try to split one queued interval of fit (risk, m); returns the children or None."""
+        self, lo: float, hi: float, depth: int, risk: float, m: int, days: list[np.ndarray] | None
+    ) -> list[tuple[float, float, float, int, list[np.ndarray] | None]] | None:
+        """Try to split one queued interval of fit (risk, m) and, for ivanov, ``days``; returns the children or None."""
         events = self.trace.events
         reason = None
         if depth >= self.config.max_depth:
@@ -318,13 +319,13 @@ class _SearchEngine:
             events.append(("leaf", (lo, hi), None, depth, reason, None, None))
             return None
 
-        days = self._day_slices(lo, hi) if self.method == "ivanov" else None
         attempts = 0
         while True:
             p = self._sample_point(lo, hi)
             left = right = None
+            halves = (None, None)
             if days is not None:
-                left, right = self._test_halves(days, lo, hi, p)
+                left, right, halves = self._test_halves(days, lo, hi, p)
                 if right is not None and right.passed:
                     # both halves look homogeneous; spend a retry hunting for
                     # a split point that still exposes structure
@@ -336,7 +337,7 @@ class _SearchEngine:
                     continue
             children = self._split_interval(lo, hi, p, risk, m)
             events.append(("split", (lo, hi), p, depth, None, left, right))
-            return children
+            return [(*child, half) for child, half in zip(children, halves)]
 
 
 def divide(

@@ -10,24 +10,50 @@ comparison against 1 - e^{-x} calibrates the test exactly, independent of
 the (unknown) rate level.  A plain KS test of the raw times against the
 uniform law is available as an alternative.
 
-Every day test goes through one kernel, ``_day_statistic``.  Its cost is per
-arrival, and it does the least work per arrival that still keeps the scalar
-order of operations: arrivals are sorted only when they are out of order,
-each ``L - t_i`` is logged once (``ln(L - t_{i-1})`` is the log of the same
-double one slot earlier), and the KS supremum takes two differences instead
-of four absolute values (monotone rounding and exact negation make them the
-same double).  So every statistic, and with it every verdict, is bit for bit
+A day's statistic comes from one of two kernels, and both give bit for bit
 what the plain formulas give.  That matters: the ivanov divider splits on
 these verdicts, and a statistic one ulp off at the critical value changes the
-partition.  Days are tested one at a time rather than concatenated: a day's
-arrays stay in cache, and one numpy pass over all days measured slower.
+partition.  ``_day_statistic`` tests one day.  It does the least work per
+arrival that still keeps the scalar order of operations: arrivals are sorted
+only when they are out of order, each ``L - t_i`` is logged once
+(``ln(L - t_{i-1})`` is the log of the same double one slot earlier), and the
+KS supremum takes two differences instead of four absolute values (monotone
+rounding and exact negation make them the same double).  Its cost is about
+15 numpy calls per day, so small days pay mostly for calls.
+``_log_statistics`` takes a chunk of sorted days of the log test in one
+buffer and about 20 numpy calls in all, with the same elementwise operations
+on the same doubles; only the sort stays one call per day.
 
 ``poisson_test_days`` in per-day mode decides rather than counts: it stops
 as soon as the verdict is settled, passing once the passing days clear the
 bar and failing once passing every untested day would still fall short.  Its
 ``n_passed`` counts the passing days among the ``n_tested`` days it looked
 at.  Both stops use the float comparison that judged the full pass fraction,
-so every verdict is the one an exhaustive loop would give.
+so every verdict is the one an exhaustive loop would give.  The log test
+takes the next days in one chunk: light days (at most ``_HEAVY_DAY``
+arrivals) up to every day the verdict may still need, heavier days only up
+to the days it needs whatever they say.  The loop's stop is then replayed
+over the chunk's verdicts, so ``n_tested`` and ``n_passed`` are what the
+day-by-day loop gives; light days computed past the stop are not counted.
+The rules that choose between the kernels were set by measurement (2-vCPU
+Xeon VM, numpy 2.4.6), and they sit in module constants, not options:
+
+* a chunk's fixed cost is about two lone days': one day of 128 arrivals
+  took about 14 us alone and 26 us as a chunk of one, two days cost the
+  same either way, and 4 days took 8.3 us a day in one chunk, 16 days 3.5
+  us.  So fewer than ``_MIN_CHUNK_DAYS`` = 4 days in a row are tested one
+  by one.  A call of fewer than ``_MIN_CALL_DAYS`` = 8 days is never
+  chunked: exp3's 4-day calls of 10-40 arrivals stop at their first failing
+  day, and chunking them gained nothing (exp3 seed 0, 2,442 calls: 99.5 ms
+  of day tests one by one, 100.3 ms chunked, the failing calls 10.0 -> 12.9
+  ms).
+* ``_CHUNK_ARRIVALS`` = 24,000: replaying the day-test calls of exp2's
+  ivanov learns (seeds 0 and 6), this cap was the fastest; 16,000 took 2-3%
+  longer, 12,000 1-6%, 8,000 a further 4-8%, and 48,000 0-6%.
+* ``_HEAVY_DAY`` = 800: a day above it is chunked only up to the days the
+  loop tests whatever they say, so no heavy day is computed past the stop.
+  Heavy days fill the calls that fail, where the stop comes early.  Testing
+  every heavy day alone made those replays 5% and 15% slower.
 """
 
 from __future__ import annotations
@@ -200,6 +226,72 @@ class MultiDayOutcome:
         }
 
 
+# where per-day mode leaves ``_log_statistics`` for ``_day_statistic`` (see
+# the module docstring for the measurements that set them)
+_HEAVY_DAY = 800  # a heavier day is chunked only if the verdict needs it
+_CHUNK_ARRIVALS = 24000  # most arrivals in one chunk
+_MIN_CHUNK_DAYS = 4  # fewer days in a row are tested one by one
+_MIN_CALL_DAYS = 8  # a call of fewer days tests them one by one
+
+
+def _log_statistics(days: Sequence[np.ndarray], sizes: Sequence[int], lo: float, hi: float) -> np.ndarray | None:
+    """``_day_statistic(day, lo, hi, True)[0]`` of each of ``days`` (of ``sizes`` arrivals), all at once.
+
+    Every statistic is bit for bit the per-day one: the same elementwise
+    operations on the same doubles, with the days laid out one after another.
+    Each nonempty day is a block ``[lo, t_1, ..., t_m]`` of one buffer, closed
+    by one more ``lo``, so the differences of ``log(hi - buffer)`` hold each
+    day's spacings and then one junk slot that crosses into the next block.
+    The spacings are taken negated, ``L_i - L_{i-1}``, which is exact, so one
+    ascending sort per day puts ``-X`` in the order of ``X`` descending and
+    ``exp`` needs no negation; the KS ramps then run descending too.  The
+    junk slot gets weight 0, stays out of the day's sort and is masked before
+    the per-day max.  Returns None, before any log is taken, unless every day
+    is a sorted 1-D array of arrivals in ``[lo, hi)``; the caller then tests
+    the days one by one, which sorts them or names the fault.
+    """
+    blocks = [i for i, m in enumerate(sizes) if m]
+    if not blocks:
+        return np.zeros(len(sizes))
+    m = np.array([sizes[i] for i in blocks])
+    lead = np.array([lo])
+    try:
+        buf = np.concatenate([x for i in blocks for x in (lead, days[i])] + [lead], dtype=float)
+    except (TypeError, ValueError):
+        return None
+    m1 = m + 1
+    ends = m1.cumsum()
+    ends -= 1  # each block's last arrival, and the junk slot of its spacings
+    # NaN fails every comparison, so this also rejects it
+    ordered = buf[1:] >= buf[:-1]
+    ordered[ends] = True  # a block's last arrival against the next lo
+    if not (ordered.all() and buf.max() < hi):
+        return None
+    np.subtract(hi, buf, out=buf)
+    np.log(buf, out=buf)
+    x = buf[1:] - buf[:-1]
+    # m + 1 - i on the slot of spacing i, then 0 on the junk slot
+    w = np.repeat(ends.astype(float), m1)
+    w -= np.arange(float(x.size))
+    x *= w
+    for end, mj in zip(ends.tolist(), m.tolist()):
+        x[end - mj : end].sort()
+    np.exp(x, out=x)
+    np.subtract(1.0, x, out=x)  # F(X_(i)) for i = m, ..., 1 over each block
+    q = np.divide(w, np.repeat(m.astype(float), m1), out=w)  # i / m beside F(X_(i)), (i - 1) / m one slot on
+    # max(i / m - F, F - (i - 1) / m) on every slot but the last, which is junk
+    sup = q[:-1] - x[:-1]
+    x[:-1] -= q[1:]
+    np.maximum(sup, x[:-1], out=sup)
+    sup[ends[:-1]] = -np.inf
+    stats = np.maximum.reduceat(sup, ends - m)
+    if len(blocks) == len(sizes):
+        return stats
+    out = np.zeros(len(sizes))  # an empty day's statistic is 0.0
+    out[blocks] = stats
+    return out
+
+
 def poisson_test_days(
     day_arrivals: Sequence[np.ndarray],
     lo: float,
@@ -220,6 +312,8 @@ def poisson_test_days(
     check_test_settings(method, mode, min_pass_fraction)
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
+    if not lo < hi:
+        raise ValueError("interval must satisfy lo < hi")
     n_days = len(day_arrivals)
     log = method == "log"
     if mode == "pooled":
@@ -233,17 +327,60 @@ def poisson_test_days(
         """Whether ``k`` passing days of ``n_days`` reach the bar."""
         return (1.0 if n_days == 0 else k / n_days) >= bar
 
-    # the fraction is monotone in k: stop once the passes so far clear the bar,
-    # or once passing every untested day would still fall short
-    n_passed = n_tested = 0
-    while not clears(n_passed) and clears(n_passed + n_days - n_tested):
-        stat, m = _day_statistic(day_arrivals[n_tested], lo, hi, log)
+    # the fraction is monotone in k, so k passing days clear the bar iff k >= quota;
+    # near k / n_days the ceiling can overshoot by one (25 days at 7/25 + 1e-12)
+    quota = min(max(math.ceil(bar * n_days), 0), n_days)
+    while quota > 0 and clears(quota - 1):
+        quota -= 1
+    while not clears(quota):
+        quota += 1
+    slack = n_days - quota  # failing days the bar allows
+    sizes = None
+    if log and n_days >= _MIN_CALL_DAYS:
+        try:
+            sizes = [len(arr) for arr in day_arrivals]
+        except TypeError:  # a 0-d day: the per-day path names it
+            pass
+    c = -0.5 * math.log(epsilon / 2.0)  # ks_critical(m, epsilon) is sqrt(c / m)
+    # stop once the passes reach the quota, or once the failures exceed the slack
+    n_passed = n_tested = scalar_until = 0
+    while n_passed < quota and n_tested - n_passed <= slack:
+        if sizes is not None and n_tested >= scalar_until:
+            # the next days in one chunk: light days up to the last the verdict
+            # may need, heavy days only up to the last it needs whatever they say
+            need = n_tested + quota - n_passed
+            sure = min(need, n_passed + slack + 1)
+            end, arrivals = n_tested, 0
+            while (
+                end < need
+                and (end < sure or sizes[end] <= _HEAVY_DAY)
+                and arrivals + sizes[end] <= _CHUNK_ARRIVALS
+            ):
+                arrivals += sizes[end]
+                end += 1
+            if end - n_tested >= _MIN_CHUNK_DAYS:
+                stats = _log_statistics(day_arrivals[n_tested:end], sizes[n_tested:end], lo, hi)
+                if stats is not None:
+                    # the loop's own verdicts and stop, replayed; the chunk holds no more
+                    # days than the quota still needs, so only a failure can stop it early
+                    for stat, m in zip(stats.tolist(), sizes[n_tested:end]):
+                        n_tested += 1
+                        if m <= 1 or stat <= math.sqrt(c / m):
+                            n_passed += 1
+                        elif n_tested - n_passed > slack:
+                            break
+                    continue
+                scalar_until = end
+        try:
+            stat, m = _day_statistic(day_arrivals[n_tested], lo, hi, log)
+        except ValueError as err:
+            raise ValueError(f"day {n_tested}: {err}") from None
         n_tested += 1
         # the verdict of _outcome, without building one per day
-        if m == 0 or stat <= ks_critical(m, epsilon) or m == 1:
+        if m <= 1 or stat <= math.sqrt(c / m):
             n_passed += 1
     for d in range(n_tested, n_days):  # NaN fails both bounds
         arr = day_arrivals[d]
         if len(arr) and not (lo <= arr[0] and arr[-1] < hi):
             raise ValueError(f"day {d}: arrivals must lie in [{lo}, {hi})")
-    return MultiDayOutcome(clears(n_passed), n_days, n_tested, n_passed, threshold, epsilon, method, mode)
+    return MultiDayOutcome(n_passed >= quota, n_days, n_tested, n_passed, threshold, epsilon, method, mode)

@@ -212,18 +212,22 @@ def test_ivanov_homogeneous_data_stays_coarse():
 
 
 def test_probe_halves_equal_tests_of_masked_days():
-    # the engine slices each day once per interval and then searches only for
-    # the probe point; the halves must be exactly the masked arrivals
+    # a queued interval carries its days and a probe only searches them for
+    # its point; the halves, which a split's children carry on, must be
+    # exactly the masked arrivals
     series = steep_series(n_days=4, per_day=400, seed=9)
     counts = CountTable.from_events(series, 300.0)
     engine = _SearchEngine(CellData(counts), series, "ivanov", SearchConfig())
     t = series.days[1]
     left_failed = 0
     for lo, hi in ((0.0, 86400.0), (3600.0, 7200.0), (t[10], t[300])):
-        days = engine._day_slices(lo, hi)
+        days = [a[(a >= lo) & (a < hi)] for a in series.days]
         inside = t[(t > lo) & (t < hi)]
         for p in (0.5 * (lo + hi), inside[inside.size // 2], float(np.nextafter(lo, hi))):
-            left, right = engine._test_halves(days, lo, hi, p)
+            left, right, (left_days, right_days) = engine._test_halves(days, lo, hi, p)
+            for a, got_left, got_right in zip(series.days, left_days, right_days):
+                assert got_left.tobytes() == a[(a >= lo) & (a < p)].tobytes()
+                assert got_right.tobytes() == a[(a >= p) & (a < hi)].tobytes()
             assert left == poisson_test_days([a[(a >= lo) & (a < p)] for a in series.days], lo, p)
             if not left.passed:
                 assert right is None  # the probe splits whatever the right half would say
@@ -256,10 +260,10 @@ def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, re
     part = trace.best_partition()
     _, risks, sizes = fit_partition(CellData(counts, fit), part)
     penalized = penalized_risk(sizes, risks, part, gamma)
-    want = penalized if method == "tikhonov" else binned_risk(sizes, risks)
     knots, best_risk, best_penalized = trace.best_state(gamma)
     assert knots == part.knots
-    np.testing.assert_allclose(best_risk, want, rtol=1e-9)
+    # the training risk, whatever the divider ranks its states by
+    np.testing.assert_allclose(best_risk, binned_risk(sizes, risks), rtol=1e-9)
     np.testing.assert_allclose(best_penalized, penalized, rtol=1e-9)
     # knots are inserted in order, so every entry holds them sorted and distinct
     for entry in trace.entries:

@@ -11,9 +11,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhpplearn import ks_critical, ks_statistic, log_test, poisson_test_days
+from nhpplearn import ks_critical, ks_statistic, log_test, poisson_test_days, stat_tests
 from nhpplearn.stat_tests import TestOutcome as Outcome
-from nhpplearn.stat_tests import uniform_ks_test
+from nhpplearn.stat_tests import _log_statistics, uniform_ks_test
 
 
 # --- the straightforward per-day code, kept as the oracle ---------------------
@@ -280,6 +280,199 @@ def test_log_test_power_against_increasing_rate():
     rng = np.random.default_rng(23)
     arr = np.sort(100.0 * np.sqrt(rng.uniform(size=200)))
     assert not log_test(arr, 0.0, 100.0).passed
+
+
+# --- the chunk kernel ---------------------------------------------------------
+# ``_day_statistic`` as it stood when every day was tested alone, frozen: the
+# kernel that tests a chunk of days in one pass must give its statistics bit
+# for bit, and ``poisson_test_days`` must decide as a loop over it does.
+
+def oracle_day_statistic(arrivals, lo, hi, log):
+    if not lo < hi:
+        raise ValueError("interval must satisfy lo < hi")
+    arr = np.asarray(arrivals, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("arrivals must be a 1-D array")
+    m = arr.size
+    if m == 0:
+        return 0.0, 0
+    if m > 1 and not (arr[1:] >= arr[:-1]).all():
+        arr = np.sort(arr)
+    if not (lo <= arr[0] and arr[-1] < hi):
+        raise ValueError(f"arrivals must lie in [{lo}, {hi})")
+    span = hi - lo
+    r = np.arange(m + 1.0)
+    if log:
+        logs = np.empty(m + 1)
+        logs[0] = span
+        np.subtract(hi, arr, out=logs[1:])
+        np.log(logs, out=logs)
+        f = logs[:-1] - logs[1:]
+        f *= r[:0:-1]
+        f.sort()
+        np.negative(f, out=f)
+        np.exp(f, out=f)
+        np.subtract(1.0, f, out=f)
+    else:
+        f = (arr - lo) / span
+    r /= m
+    return float(max((r[1:] - f).max(), (f - r[:-1]).max())), m
+
+
+def oracle_day_passes(arrivals, lo, hi, epsilon):
+    stat, m = oracle_day_statistic(arrivals, lo, hi, True)
+    return m <= 1 or stat <= ks_critical(m, epsilon)
+
+
+@st.composite
+def sorted_days(draw, lo, hi, max_days=8):
+    """Sorted days of 0 to 3,000 arrivals in [lo, hi), with ties and both ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    below_hi = float(np.nextafter(hi, lo))
+    days = []
+    for _ in range(draw(st.integers(1, max_days))):
+        m = draw(st.sampled_from((0, 1, 2, 3, 15, 128, 800, 801, 3000)) | st.integers(0, 3000))
+        t = np.minimum(lo + rng.uniform(0.0, 1.0, m) * (hi - lo), below_hi)
+        if m and draw(st.booleans()):  # tied arrivals
+            t[rng.integers(0, m, m // 4 + 1)] = t[0]
+        ends = draw(st.lists(st.sampled_from((lo, below_hi)), max_size=3))
+        days.append(np.sort(np.concatenate([t[(t >= lo) & (t < hi)], ends])))
+    return days
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_chunk_statistics_equal_the_frozen_day_statistic(data):
+    lo, hi = data.draw(intervals())
+    days = data.draw(sorted_days(lo, hi))
+    got = _log_statistics(days, [len(d) for d in days], lo, hi)
+    want = np.array([oracle_day_statistic(d, lo, hi, True)[0] for d in days])
+    assert got is not None
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0.7, 0.2], [0.5, math.nan], [math.nan], [0.5, 1.0], [-0.1, 0.5], [[0.1, 0.2]]])
+def test_chunk_kernel_declines_days_it_cannot_take(bad):
+    # unsorted, NaN, out of range or not 1-D: the per-day kernel sorts the day or names the fault
+    days = [np.array([0.1, 0.4]), np.array(bad), np.array([0.3])]
+    assert _log_statistics(days, [len(d) for d in days], 0.0, 1.0) is None
+
+
+def _mixed_days(rng, n_days, lo, hi, mix, steep_share, unsorted_share):
+    """Tiny, light and heavy days; steep days fail once they are large, uniform ones mostly pass."""
+    sizes = {"tiny": (0, 1, 2, 3), "light": (5, 40, 128, 275, 800), "heavy": (801, 1200, 2500)}
+    pool = [m for kind in mix for m in sizes[kind]]
+    days = []
+    for _ in range(n_days):
+        u = rng.uniform(size=rng.choice(pool))
+        if rng.uniform() < steep_share:
+            u = np.sqrt(u)
+        t = np.sort(np.minimum(lo + u * (hi - lo), np.nextafter(hi, lo)))
+        if rng.uniform() < unsorted_share:
+            rng.shuffle(t)
+        days.append(t)
+    return days
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n_days=st.integers(0, 130),
+    mix=st.sampled_from((("tiny",), ("light",), ("heavy",), ("tiny", "light"), ("light", "heavy"),
+                         ("tiny", "light", "heavy"))),
+    steep_share=st.sampled_from((0.0, 0.05, 0.3, 1.0)),
+    unsorted_share=st.sampled_from((0.0, 0.0, 0.1)),
+    epsilon=st.sampled_from((0.01, 0.05, 0.25)),
+)
+def test_chunked_days_decide_like_the_frozen_loop(data, n_days, mix, steep_share, unsorted_share, epsilon):
+    # chunk boundaries and days computed past the stop never change a count
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo, hi = data.draw(st.sampled_from(((0.0, 86400.0), (25200.0, 30600.0), (3.7, 3.7 + 1e-6))))
+    days = _mixed_days(rng, n_days, lo, hi, mix, steep_share, unsorted_share)
+    bar = data.draw(st.sampled_from((None, 0.0, 1.0, 7 / 25 + 1e-12)) | pass_fractions(n_days))
+    out = poisson_test_days(days, lo, hi, epsilon, min_pass_fraction=bar)
+    threshold = 1.0 - 2.0 * epsilon if bar is None else bar
+    assert_decides_like_loop(out, [oracle_day_passes(d, lo, hi, epsilon) for d in days], threshold)
+
+
+def _spy(monkeypatch, name):
+    """Record the ids of the days each call of ``stat_tests.<name>`` tests."""
+    seen = []
+    real = getattr(stat_tests, name)
+
+    def spy(arrivals, *args):
+        # _log_statistics takes a chunk of days, _day_statistic one day
+        seen.append([id(d) for d in arrivals] if name == "_log_statistics" else [id(arrivals)])
+        return real(arrivals, *args)
+
+    monkeypatch.setattr(stat_tests, name, spy)
+    return seen
+
+
+def test_chunk_policy(monkeypatch):
+    chunks = _spy(monkeypatch, "_log_statistics")
+    singles = _spy(monkeypatch, "_day_statistic")
+    rng = np.random.default_rng(3)
+
+    def tested(days):
+        index = {id(d): i for i, d in enumerate(days)}
+        return [[index[i] for i in call] for call in chunks], [index[i] for (i,) in singles]
+
+    # 120 light days that pass: every day the quota needs goes through chunks
+    days = [np.sort(rng.uniform(0.0, 1.0, 100)) for _ in range(120)]
+    out = poisson_test_days(days, 0.0, 1.0)
+    in_chunks, alone = tested(days)
+    assert out.passed and in_chunks
+    assert sorted(alone + [i for call in in_chunks for i in call]) == list(range(out.n_tested))
+    # a call of fewer days than a chunk amortises tests them one by one
+    chunks.clear()
+    singles.clear()
+    small = days[: stat_tests._MIN_CALL_DAYS - 1]
+    poisson_test_days(small, 0.0, 1.0)
+    assert not chunks and singles
+    # heavy days that fail: no heavy day is tested that the loop would not test
+    chunks.clear()
+    singles.clear()
+    days = [np.sort(np.sqrt(rng.uniform(size=1000))) for _ in range(120)]
+    out = poisson_test_days(days, 0.0, 1.0)
+    in_chunks, alone = tested(days)
+    assert not out.passed and out.n_tested == 13 and in_chunks
+    assert sorted(alone + [i for call in in_chunks for i in call]) == list(range(13))
+
+
+def test_days_computed_past_the_stop_are_not_checked_beyond_their_ends():
+    # the first 13 days fail and settle the verdict inside the first chunk, which
+    # also holds a day with a NaN inside and an unsorted day with an arrival
+    # beyond hi; neither is tested, and their first and last arrivals are in range
+    rng = np.random.default_rng(5)
+    days = [np.sort(np.sqrt(rng.uniform(size=200))) for _ in range(120)]
+    days[20] = np.array([0.1, math.nan, 0.5])
+    days[30] = np.array([0.5, 2.0, 0.6])
+    out = poisson_test_days(days, 0.0, 1.0)
+    assert not out.passed and out.n_tested == 13 and out.n_passed == 0
+
+
+@pytest.mark.parametrize("bad", [[0.2, 2.0], [0.2, math.nan], [math.nan], [0.6, 0.2, 1.5], [-0.1]])
+def test_a_tested_day_names_itself_in_a_range_error(bad):
+    message = r"^day {}: arrivals must lie in \[0.0, 1.0\)$"
+    # two days are tested one by one
+    with pytest.raises(ValueError, match=message.format(1)):
+        poisson_test_days([np.array([0.5]), np.array(bad)], 0.0, 1.0)
+    # twenty light days go to one chunk, which declines the faulty day; the
+    # single-arrival days before it pass
+    days = [np.array([0.5])] * 20
+    days[5] = np.array(bad)
+    with pytest.raises(ValueError, match=message.format(5)):
+        poisson_test_days(days, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.array(0.5), np.full((2, 2), 0.5)])
+@pytest.mark.parametrize("n_days", [4, 13])
+def test_a_day_that_is_not_1d_is_named(bad, n_days):
+    days = [np.array([0.5])] * n_days
+    days[3] = bad
+    with pytest.raises(ValueError, match=r"^day 3: arrivals must be a 1-D array$"):
+        poisson_test_days(days, 0.0, 1.0)
 
 
 # --- uniform KS variant -------------------------------------------------------
