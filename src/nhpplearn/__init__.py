@@ -41,7 +41,7 @@ from .simulate import (
     simulate_conditioned,
     simulate_thinning,
 )
-from .spatial import AreaPartition, GeoEventSeries, kmeans, learn_per_area
+from .spatial import GeoEventSeries, kmeans, learn_per_area
 from .stat_tests import (
     TestOutcome,
     ks_critical,
@@ -54,7 +54,6 @@ from .stat_tests import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaPartition",
     "CellData",
     "CountTable",
     "EventSeries",

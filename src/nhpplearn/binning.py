@@ -41,7 +41,6 @@ from .core import (
     EventSeries,
     FitReport,
     Partition,
-    RateModel,
     TimeWindow,
     binned_risk,
     penalized_risk,
@@ -200,10 +199,6 @@ class _SearchEngine:
             raise ValueError(f"unknown divider '{method}' (expected one of {', '.join(DIVIDERS)})")
         if method == "relaxed" and config.eta_seconds is None:
             raise ValueError("relaxed division requires eta_seconds")
-        if method == "ivanov" and events is None:
-            raise ValueError("ivanov division requires training arrival times")
-        if method == "ivanov" and events.window != data.window:
-            raise ValueError("events and counts must share a window")
         self.data = data
         self.events = events
         self.window = data.window
@@ -340,6 +335,22 @@ class _SearchEngine:
             return [(*child, half) for child, half in zip(children, halves)]
 
 
+def _check_events(events: EventSeries | None, counts: CountTable) -> None:
+    """Reject ivanov training arrivals that are not the ones ``counts`` tallies."""
+    if events is None:
+        raise ValueError("ivanov division requires training arrival times")
+    if events.window != counts.window:
+        raise ValueError("events and counts must share a window")
+    if events.n_days != counts.n_days:
+        raise ValueError(f"events have {events.n_days} days but counts have {counts.n_days}")
+    arrivals = np.array([arr.size for arr in events.days])
+    totals = counts.counts.sum(axis=1)
+    bad = np.flatnonzero(arrivals != totals)
+    if bad.size:
+        d = bad[0]
+        raise ValueError(f"day {d}: {arrivals[d]} arrivals but its count row sums to {totals[d]:g}")
+
+
 def divide(
     method: str,
     counts: CountTable,
@@ -350,14 +361,16 @@ def divide(
 ) -> SearchTrace:
     """One division run (no restarts) with one of ``DIVIDERS``.
 
-    ``ivanov`` needs ``events``, the training arrivals over the counts'
-    window; ``tikhonov`` needs ``config.gamma``; ``relaxed`` splits until
+    ``ivanov`` needs ``events``, the training arrivals that ``counts``
+    tallies; ``tikhonov`` needs ``config.gamma``; ``relaxed`` splits until
     intervals reach twice ``config.eta_seconds``.  ``restart_index`` picks
     the random stream, as restart ``r`` of ``learn`` does.
     """
     config = config or SearchConfig()
     if method == "tikhonov" and config.gamma is None:
         raise ValueError("tikhonov division requires gamma to be set")
+    if method == "ivanov":
+        _check_events(events, counts)
     return _SearchEngine(CellData(counts, fit_config), events, method, config, restart_index).run()
 
 
@@ -383,7 +396,6 @@ def learn(
     method: str = "ivanov",
     fit_config: FitConfig | None = None,
     config: SearchConfig | None = None,
-    compare_equal: bool = False,
     data: CellData | None = None,
 ) -> FitReport:
     """Learn a piecewise rate model with the requested division strategy.
@@ -393,6 +405,8 @@ def learn(
     ``method`` is one of ``ivanov``, ``tikhonov``, ``relaxed``, or
     ``equal:N``; for ``tikhonov`` with ``gamma=None`` the penalty weight is
     picked from a small grid on a held-out tail of the training days.
+    ``ivanov`` tests ``train_events``, which must be the arrivals that
+    ``train_counts`` tallies; the other methods ignore them.
 
     ``data`` is a ``CellData`` built on ``train_counts`` (the same object)
     under ``fit_config``; several calls on one table pass the same one to
@@ -407,6 +421,8 @@ def learn(
             f"method '{method}' asks for {n_equal} bins, more than the {train_counts.n_cells} cells "
             "of the training window"
         )
+    if kind == "ivanov":
+        _check_events(train_events, train_counts)
     fit_config = fit_config or FitConfig()
     if data is None:
         data = CellData(train_counts, fit_config)
@@ -419,48 +435,14 @@ def learn(
         config = replace(config, gamma=_select_gamma(train_counts, fit_config, config))
 
     if kind == "equal":
-        best_partition = equal_partition(train_counts.window, n_equal)
+        partition = equal_partition(train_counts.window, n_equal)
         traces: list[SearchTrace] = []
     else:
-        (best_partition,), traces = _search_best(train_events, data, kind, config, (config.gamma,))
-    report = _score(method, best_partition, data, test_counts, config)
-
-    if compare_equal and kind != "equal":
-        # the search may leave more bins than cells, which equal:N rejects,
-        # so the baseline is scored here rather than through learn
-        n_bins = best_partition.n_bins
-        baseline = _score(f"equal:{n_bins}", equal_partition(train_counts.window, n_bins), data, test_counts, config)
-        improvement = None
-        if report.rmse_test is not None and baseline.rmse_test:
-            improvement = (baseline.rmse_test - report.rmse_test) * 100.0 / baseline.rmse_test
-        report = replace(
-            report,
-            equal_bins=baseline.n_bins,
-            equal_rmse_train=baseline.rmse_train,
-            equal_rmse_test=baseline.rmse_test,
-            improvement_pct=improvement,
-        )
-
-    if config.trace_path and traces:
-        _write_trace(config.trace_path, traces)
-    return report
-
-
-def _score(
-    method: str,
-    partition: Partition,
-    data: CellData,
-    test_counts: CountTable | None,
-    config: SearchConfig,
-) -> FitReport:
-    """Fit ``partition`` to the training counts behind ``data`` and score it."""
-    train_counts = data.table
+        (partition,), traces = _search_best(train_events, data, kind, config, (config.gamma,))
     model, risks, sizes = fit_partition(data, partition)
-    return FitReport(
+    report = FitReport(
         method=method,
-        partition=partition,
         model=model,
-        n_bins=partition.n_bins,
         bin_sizes=tuple(int(v) for v in sizes),
         binned_risk=binned_risk(sizes, risks),
         rmse_train=evaluate(model, train_counts),
@@ -473,6 +455,9 @@ def _score(
         epsilon=config.epsilon,
         eta_seconds=config.eta_seconds,
     )
+    if config.trace_path and traces:
+        _write_trace(config.trace_path, traces)
+    return report
 
 
 def _search_best(

@@ -231,9 +231,7 @@ class FitReport:
     """Everything a single learning run produced."""
 
     method: str
-    partition: Partition
     model: RateModel
-    n_bins: int
     bin_sizes: tuple[int, ...]
     binned_risk: float
     rmse_train: float
@@ -243,10 +241,14 @@ class FitReport:
     gamma: float | None = None
     epsilon: float | None = None
     eta_seconds: float | None = None
-    equal_bins: int | None = None
-    equal_rmse_train: float | None = None
-    equal_rmse_test: float | None = None
-    improvement_pct: float | None = None
+
+    @property
+    def partition(self) -> Partition:
+        return self.model.partition
+
+    @property
+    def n_bins(self) -> int:
+        return self.model.partition.n_bins
 
     def summary_dict(self) -> dict:
         return {
@@ -262,10 +264,6 @@ class FitReport:
             "gamma": self.gamma,
             "epsilon": self.epsilon,
             "eta_seconds": self.eta_seconds,
-            "equal_bins": self.equal_bins,
-            "equal_rmse_train": self.equal_rmse_train,
-            "equal_rmse_test": self.equal_rmse_test,
-            "improvement_pct": self.improvement_pct,
         }
 
 

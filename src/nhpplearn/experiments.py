@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import SearchConfig, learn
+from .binning import SearchConfig, equal_partition, learn
 from .core import CountTable, EventSeries, TimeWindow
 from .dataio import save_model
-from .regression import CellData, FitConfig
+from .regression import CellData, FitConfig, evaluate, fit_partition
 from .simulate import PiecewiseLinearRate, af_rate, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
 from .stat_tests import check_test_settings
@@ -229,11 +229,16 @@ def run_experiment_2(cfg: ExperimentConfig) -> Path:
     ):
         report = learn(
             events, train_table, test_table, method=method,
-            fit_config=fit_config, config=cfg.search_config(), compare_equal=True, data=data,
+            fit_config=fit_config, config=cfg.search_config(), data=data,
         )
+        # the search may leave more bins than cells, which learn's equal:N
+        # rejects, so the baseline is fitted here
+        equal, _, _ = fit_partition(data, equal_partition(train_table.window, report.n_bins))
+        equal_train, equal_test = evaluate(equal, train_table), evaluate(equal, test_table)
+        improvement = (equal_test - report.rmse_test) * 100.0 / equal_test if equal_test else None
         rows.append([
             cfg.instance, label, report.rmse_train, report.rmse_test, report.n_bins,
-            report.equal_rmse_train, report.equal_rmse_test, report.improvement_pct,
+            equal_train, equal_test, improvement,
         ])
     path = out_dir / "exp2.csv"
     _write_csv(path, EXP2_HEADER, rows)
@@ -308,7 +313,7 @@ def run_experiment_3(cfg: ExperimentConfig, geo: GeoEventSeries | None = None) -
         rows.append([f"{a}", fit.events_per_area[a], report.n_bins, report.rmse_train, report.rmse_test])
     index = {
         "clusters": cfg.clusters,
-        "centroids": [[float(v) for v in row] for row in fit.clustering.partition.centroids],
+        "centroids": [[float(v) for v in row] for row in fit.clustering.centroids],
         "events_per_area": list(fit.events_per_area),
         "models": model_paths,
         "train_days": list(fit.day_ids_train),

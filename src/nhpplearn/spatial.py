@@ -45,28 +45,25 @@ class GeoEventSeries:
 
 
 @dataclass(frozen=True)
-class AreaPartition:
-    """Planar centroids of the areas, one (lon, lat) row per area."""
+class KMeansResult:
+    """Lloyd's result: one (lon, lat) centroid row per area, each point's area, and the WCSS of every step."""
 
     centroids: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.atleast_2d(np.asarray(self.centroids, dtype=float))
-        if c.ndim != 2 or c.shape[1] != 2:
-            raise ValueError("centroids must have shape (K, 2)")
-        object.__setattr__(self, "centroids", c)
-
-
-@dataclass(frozen=True)
-class KMeansResult:
-    partition: AreaPartition
     labels: np.ndarray
     wcss_history: tuple[float, ...]
     n_iter: int
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # the two squares summed explicitly: the same doubles as a sum over the
+    # coordinate axis, without a reduction over a length-2 axis; in place, so
+    # no more than two (n, k) arrays are alive
+    dx = points[:, None, 0] - centroids[None, :, 0]
+    dy = points[:, None, 1] - centroids[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def kmeans(
@@ -83,6 +80,8 @@ def kmeans(
     at the point currently farthest from its assigned centroid.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {points.shape}")
     n = points.shape[0]
     if k < 1:
         raise ValueError("k must be positive")
@@ -92,19 +91,21 @@ def kmeans(
 
     if init_centroids is not None:
         centroids = np.atleast_2d(np.asarray(init_centroids, dtype=float)).copy()
-        if centroids.shape != (k, points.shape[1]):
+        if centroids.shape != (k, 2):
             raise ValueError("init_centroids shape mismatch")
     else:
-        # distance-squared weighted seeding
-        centroids = np.empty((k, points.shape[1]))
+        # distance-squared weighted seeding; d2 is each point's distance to
+        # its nearest centroid so far (a minimum is exact in any order)
+        centroids = np.empty((k, 2))
         centroids[0] = points[rng.integers(n)]
+        d2 = _sq_dists(points, centroids[:1])[:, 0]
         for j in range(1, k):
-            d2 = _sq_dists(points, centroids[:j]).min(axis=1)
             total = d2.sum()
             if total <= 0:
                 centroids[j] = points[rng.integers(n)]
             else:
                 centroids[j] = points[rng.choice(n, p=d2 / total)]
+            np.minimum(d2, _sq_dists(points, centroids[j : j + 1])[:, 0], out=d2)
 
     history: list[float] = []
     labels = np.zeros(n, dtype=int)
@@ -128,7 +129,7 @@ def kmeans(
             break
         centroids = new_centroids
     return KMeansResult(
-        partition=AreaPartition(centroids=centroids),
+        centroids=centroids,
         labels=labels,
         wcss_history=tuple(history),
         n_iter=len(history),

@@ -22,7 +22,9 @@ rounding and exact negation make them the same double).  Its cost is about
 15 numpy calls per day, so small days pay mostly for calls.
 ``_log_statistics`` takes a chunk of sorted days of the log test in one
 buffer and about 20 numpy calls in all, with the same elementwise operations
-on the same doubles; only the sort stays one call per day.
+on the same doubles; only the sort stays one call per day.  "Bit for bit"
+holds within one SIMD dispatch: numpy picks its ``log`` and ``exp`` code by
+CPU (AVX-512 or not), and those can differ in the last bit between hosts.
 
 ``poisson_test_days`` in per-day mode decides rather than counts: it stops
 as soon as the verdict is settled, passing once the passing days clear the
@@ -36,24 +38,13 @@ to the days it needs whatever they say.  The loop's stop is then replayed
 over the chunk's verdicts, so ``n_tested`` and ``n_passed`` are what the
 day-by-day loop gives; light days computed past the stop are not counted.
 The rules that choose between the kernels were set by measurement (2-vCPU
-Xeon VM, numpy 2.4.6), and they sit in module constants, not options:
+Xeon VM, numpy 2.4.6; CHANGES.md has the tables), and they sit in module
+constants, not options:
 
-* a chunk's fixed cost is about two lone days': one day of 128 arrivals
-  took about 14 us alone and 26 us as a chunk of one, two days cost the
-  same either way, and 4 days took 8.3 us a day in one chunk, 16 days 3.5
-  us.  So fewer than ``_MIN_CHUNK_DAYS`` = 4 days in a row are tested one
-  by one.  A call of fewer than ``_MIN_CALL_DAYS`` = 8 days is never
-  chunked: exp3's 4-day calls of 10-40 arrivals stop at their first failing
-  day, and chunking them gained nothing (exp3 seed 0, 2,442 calls: 99.5 ms
-  of day tests one by one, 100.3 ms chunked, the failing calls 10.0 -> 12.9
-  ms).
-* ``_CHUNK_ARRIVALS`` = 24,000: replaying the day-test calls of exp2's
-  ivanov learns (seeds 0 and 6), this cap was the fastest; 16,000 took 2-3%
-  longer, 12,000 1-6%, 8,000 a further 4-8%, and 48,000 0-6%.
-* ``_HEAVY_DAY`` = 800: a day above it is chunked only up to the days the
-  loop tests whatever they say, so no heavy day is computed past the stop.
-  Heavy days fill the calls that fail, where the stop comes early.  Testing
-  every heavy day alone made those replays 5% and 15% slower.
+* ``_MIN_CHUNK_DAYS`` = 4: days of 128 arrivals took 14 us alone, 8.3 us each in a chunk of 4.
+* ``_MIN_CALL_DAYS`` = 8: exp3's 4-day calls took 99.5 ms one by one and 100.3 ms chunked.
+* ``_CHUNK_ARRIVALS`` = 24,000: on exp2's ivanov day tests, 16,000 was 2-3% and 48,000 0-6% slower.
+* ``_HEAVY_DAY`` = 800: testing every heavy day alone made those day tests 5-15% slower.
 """
 
 from __future__ import annotations
@@ -111,6 +102,16 @@ def ks_critical(m: int, epsilon: float) -> float:
     return math.sqrt(-0.5 * math.log(epsilon / 2.0) / m)
 
 
+def _check_interval(lo: float, hi: float) -> None:
+    """Reject an interval whose bounds are not finite, naming the bound, or not ordered."""
+    if -math.inf < lo < hi < math.inf:  # NaN fails every comparison
+        return
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"interval bound {name} must be finite, got {bound!r}")
+    raise ValueError("interval must satisfy lo < hi")
+
+
 def _day_statistic(arrivals: Sequence[float], lo: float, hi: float, log: bool) -> tuple[float, int]:
     """KS statistic and size of one day's arrivals on [lo, hi); (0.0, 0) when empty.
 
@@ -118,8 +119,7 @@ def _day_statistic(arrivals: Sequence[float], lo: float, hi: float, log: bool) -
     are compared with the uniform law.  Arrivals are sorted only when they
     are not sorted already.
     """
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
+    _check_interval(lo, hi)
     arr = np.asarray(arrivals, dtype=float)
     if arr.ndim != 1:
         raise ValueError("arrivals must be a 1-D array")
@@ -312,8 +312,7 @@ def poisson_test_days(
     check_test_settings(method, mode, min_pass_fraction)
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
+    _check_interval(lo, hi)
     n_days = len(day_arrivals)
     log = method == "log"
     if mode == "pooled":

@@ -364,7 +364,7 @@ def test_criterion_9_kmeans_oracle():
     points = np.concatenate([c + 0.6 * rng.standard_normal((20, 2)) for c in centers])
     result = kmeans(points, 3, seed=1)
 
-    centroids = result.partition.centroids
+    centroids = result.centroids
     agree = 0
     for p, label in zip(points, result.labels):
         dists = [float(np.sum((p - c) ** 2)) for c in centroids]

@@ -28,6 +28,7 @@ from nhpplearn import (
     penalized_risk,
     poisson_test_days,
 )
+from nhpplearn import binning
 from nhpplearn.binning import DIVIDERS, GAMMA_GRID, _SearchEngine, parse_method
 from nhpplearn.experiments import ETA_SWEEP_MINUTES
 from nhpplearn.regression import CellData
@@ -336,22 +337,32 @@ def test_learn_equal_bins_are_capped_by_the_cell_count():
         learn(None, counts, method=f"equal:{n + 1}")
 
 
-def test_learn_baseline_may_have_more_bins_than_cells():
-    # the cap is on requests: a search that leaves more bins than cells still
-    # gets its equal-length baseline
-    events = uniform_series(4, 300, seed=0)
-    counts = CountTable.from_events(events, 3600.0)
-    cfg = SearchConfig(max_bins=64, max_depth=10, max_restarts=1, gamma=1e-6)
-    rep = learn(None, counts, counts, method="tikhonov", config=cfg, compare_equal=True)
-    assert rep.n_bins > counts.n_cells
-    assert rep.equal_bins == rep.n_bins
-    assert math.isfinite(rep.equal_rmse_test)
-
-
 def test_learn_requires_events_for_ivanov():
     counts = CountTable.from_events(uniform_series(1, 50), 300.0)
     with pytest.raises(ValueError, match="requires training arrival times"):
         learn(None, counts, method="ivanov")
+
+
+def test_ivanov_rejects_events_the_counts_do_not_tally(monkeypatch):
+    events = steep_series(6, 300, seed=1)
+    other = CountTable.from_events(steep_series(3, 300, seed=2), 300.0)
+    cfg = SearchConfig(max_depth=4, max_bins=4, max_restarts=3, max_retries=1)
+    for run in (lambda e, c: learn(e, c, config=cfg), lambda e, c: divide("ivanov", c, e, config=cfg)):
+        with pytest.raises(ValueError, match="^events have 6 days but counts have 3$"):
+            run(events, other)
+        # the right day count, but day 2 lost its last arrival
+        counts = CountTable.from_events(events, 300.0)
+        short = EventSeries(W, tuple(d[:-1] if i == 2 else d for i, d in enumerate(events.days)))
+        with pytest.raises(ValueError, match="^day 2: 299 arrivals but its count row sums to 300$"):
+            run(short, counts)
+    # checked once per call, not once per restart
+    calls = []
+    check = binning._check_events
+    monkeypatch.setattr(binning, "_check_events", lambda *a: calls.append(a) or check(*a))
+    counts = CountTable.from_events(events, 300.0)
+    learn(events, counts, config=cfg)
+    divide("ivanov", counts, events, config=cfg)
+    assert len(calls) == 2
 
 
 def test_learn_gamma_autoselection_uses_grid():
@@ -435,19 +446,6 @@ def test_tikhonov_search_path_does_not_depend_on_gamma(seed):
         knots, risk, penalized = other.best_state(g)
         assert bits(*knots) == bits(*run.best_partition().knots)
         assert bits(risk, penalized) == bits(*run.best_state(run.gamma)[1:])
-
-
-def test_learn_compare_equal_attaches_consistent_baseline():
-    events = steep_series(5, 250, seed=13)
-    tr = CountTable.from_events(events, 300.0)
-    te = CountTable.from_events(steep_series(2, 250, seed=14), 300.0)
-    rep = learn(events, tr, te, method="ivanov", fit_config=FitConfig(degree=1),
-                config=SearchConfig(max_depth=5, max_bins=6, max_restarts=3, max_retries=2, seed=3),
-                compare_equal=True)
-    assert rep.equal_bins == rep.n_bins
-    assert rep.equal_rmse_test is not None
-    expected = (rep.equal_rmse_test - rep.rmse_test) * 100.0 / rep.equal_rmse_test
-    assert math.isclose(rep.improvement_pct, expected, rel_tol=1e-9)
 
 
 def test_learn_is_deterministic_for_fixed_seed():
@@ -560,11 +558,11 @@ def test_shared_data_over_ivanov_then_tikhonov_equals_learn_alone(tmp_path, seed
     counts = CountTable.from_events(events, 300.0)
     test = CountTable.from_events(steep_series(2, 300, seed=seed + 100), 300.0)
     cfg = SearchConfig(max_depth=8, max_bins=8, max_restarts=4, max_retries=2, seed=seed)
-    both = {"test_counts": test, "compare_equal": True}
+    with_test = {"test_counts": test}
     calls = [
-        (None, "equal:1", cfg, {"test_counts": test}),
-        (events, "ivanov", cfg, both),
-        (None, "tikhonov", cfg, both),  # gamma picked on a held-out tail, from a CellData of its own
+        (None, "equal:1", cfg, with_test),
+        (events, "ivanov", cfg, with_test),
+        (None, "tikhonov", cfg, with_test),  # gamma picked on a held-out tail, from a CellData of its own
     ]
     pairs = learn_alone_and_shared(tmp_path, calls, counts, FitConfig(degree=1))
     for alone, shared in pairs:

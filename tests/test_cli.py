@@ -142,6 +142,12 @@ def test_learn_adaptive_method_runs(runner, tmp_path):
         "--out-dir", str(tmp_path / "fit"),
     ])
     assert "method=ivanov" in result.output
+    # report.json holds the run's own facts and nothing else
+    report = json.loads((tmp_path / "fit" / "report.json").read_text())
+    assert list(report) == [
+        "method", "knots", "n_bins", "bin_sizes", "binned_risk", "penalized_risk",
+        "rmse_train", "rmse_test", "seed", "gamma", "epsilon", "eta_seconds",
+    ]
 
 
 def test_test_poisson_verdicts(runner, tmp_path):

@@ -12,18 +12,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nhpplearn.binning import equal_partition, learn
 from nhpplearn.experiments import (
     EXP1_HEADER,
     EXP2_HEADER,
     EXP3_HEADER,
     ExperimentConfig,
+    _dataset,
+    _fmt,
     make_synthetic_geo,
     run_experiment_1,
     run_experiment_2,
     run_experiment_3,
 )
 from nhpplearn import load_model
-from nhpplearn.regression import CellData
+from nhpplearn.regression import CellData, evaluate, fit_partition
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -168,6 +171,35 @@ def test_exp2_schema_and_improvement_consistency(tmp_path):
         # the improvement column restates the two test columns (6 sig figs)
         expected = (eq_test - rmse_test) * 100.0 / eq_test
         assert imp == pytest.approx(expected, abs=5e-2)
+
+
+def assert_baseline_columns_refit(cfg, path):
+    """Each adaptive row's baseline columns are the scores of an equal-length fit at its bin count."""
+    train, _, train_table, test_table = _dataset(cfg)
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    assert len(rows) == 2
+    for row, (method, events) in zip(rows, (("ivanov", train), ("tikhonov", None))):
+        rep = learn(events, train_table, test_table, method=method,
+                    fit_config=cfg.fit_config(), config=cfg.search_config())
+        assert row[3:5] == [_fmt(rep.rmse_test), f"{rep.n_bins}"]
+        data = CellData(train_table, cfg.fit_config())
+        model, _, _ = fit_partition(data, equal_partition(train_table.window, rep.n_bins))
+        eq_train, eq_test = evaluate(model, train_table), evaluate(model, test_table)
+        assert row[5:] == [_fmt(eq_train), _fmt(eq_test), _fmt((eq_test - rep.rmse_test) * 100.0 / eq_test)]
+    return rows
+
+
+def test_exp2_baseline_columns_equal_a_fit_of_the_equal_partition(tmp_path):
+    cfg = tiny_exp2(tmp_path)
+    assert_baseline_columns_refit(cfg, run_experiment_2(cfg))
+
+
+def test_exp2_baseline_may_have_more_bins_than_cells(tmp_path):
+    # learn's equal:N is capped at the cell count; the baseline of a search
+    # that leaves more bins than cells is not
+    cfg = tiny_exp2(tmp_path).with_overrides(resolution=3600.0, max_bins=64, max_depth=10, gamma=1e-6)
+    rows = assert_baseline_columns_refit(cfg, run_experiment_2(cfg))
+    assert rows[1][1] == "dbm_tikhonov" and int(rows[1][4]) > 24
 
 
 def test_exp2_is_byte_reproducible(tmp_path):

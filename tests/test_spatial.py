@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhpplearn import (
-    AreaPartition,
     FitConfig,
     GeoEventSeries,
     SearchConfig,
     kmeans,
     learn_per_area,
 )
+from nhpplearn.experiments import make_synthetic_geo
 from nhpplearn.spatial import _area_series
 
 
@@ -31,7 +33,7 @@ def test_kmeans_recovers_separated_blobs():
     pts, centers = three_blobs()
     result = kmeans(pts, 3, seed=1)
     # each found centroid should sit on top of one true center
-    found = result.partition.centroids
+    found = result.centroids
     for c in centers:
         assert np.min(np.linalg.norm(found - c, axis=1)) < 0.5
 
@@ -39,7 +41,7 @@ def test_kmeans_recovers_separated_blobs():
 def test_kmeans_labels_match_exhaustive_nearest_centroid():
     pts, _ = three_blobs(seed=4)
     result = kmeans(pts, 3, seed=2)
-    centroids = result.partition.centroids
+    centroids = result.centroids
     brute = np.array([
         int(np.argmin([np.sum((p - c) ** 2) for c in centroids])) for p in pts
     ])
@@ -61,7 +63,7 @@ def test_kmeans_is_deterministic():
     a = kmeans(pts, 4, seed=9)
     b = kmeans(pts, 4, seed=9)
     np.testing.assert_array_equal(a.labels, b.labels)
-    np.testing.assert_array_equal(a.partition.centroids, b.partition.centroids)
+    np.testing.assert_array_equal(a.centroids, b.centroids)
 
 
 def test_kmeans_validates_k():
@@ -90,14 +92,82 @@ def test_kmeans_duplicate_points_fill_by_reseed():
     # all mass at two sites; the third centroid lands on a point, never NaN
     pts = np.repeat(np.array([[0.0, 0.0], [5.0, 5.0]]), 10, axis=0)
     result = kmeans(pts, 3, seed=0)
-    assert np.all(np.isfinite(result.partition.centroids))
+    assert np.all(np.isfinite(result.centroids))
 
 
-# --- area partition -----------------------------------------------------------
+def test_kmeans_rejects_points_that_are_not_n_by_2():
+    for bad in (np.zeros((5, 3)), np.zeros((5, 1)), np.zeros((2, 5, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"points must have shape (n, 2), got {bad.shape}")):
+            kmeans(bad, 2)
 
-def test_area_partition_rejects_bad_shape():
-    with pytest.raises(ValueError, match=r"shape \(K, 2\)"):
-        AreaPartition(np.zeros((3, 4)))
+
+def frozen_kmeans(points, k, seed=0, max_iter=100):
+    """``kmeans`` as it was before the explicit squares and the running seeding minimum: the oracle."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 2, 0)))
+
+    def sq_dists(p, c):
+        return ((p[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    for j in range(1, k):
+        d2 = sq_dists(points, centroids[:j]).min(axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = points[rng.integers(n)]
+        else:
+            centroids[j] = points[rng.choice(n, p=d2 / total)]
+    history = []
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iter):
+        d2 = sq_dists(points, centroids)
+        labels = np.argmin(d2, axis=1)
+        for j in range(k):
+            if not np.any(labels == j):
+                worst = int(np.argmax(d2[np.arange(n), labels]))
+                centroids[j] = points[worst]
+                d2 = sq_dists(points, centroids)
+                labels = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), labels].sum()))
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = points[labels == j]
+            if members.size:
+                new_centroids[j] = members.mean(axis=0)
+        if np.allclose(new_centroids, centroids):
+            break
+        centroids = new_centroids
+    return centroids, labels, tuple(history)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kmeans_equals_the_frozen_kmeans_on_exp3_points(seed):
+    geo = make_synthetic_geo(seed=seed)
+    points = np.column_stack((geo.lon, geo.lat))
+    got = kmeans(points, 20, seed=seed)
+    centroids, labels, history = frozen_kmeans(points, 20, seed=seed)
+    assert got.centroids.tobytes() == centroids.tobytes()
+    assert got.labels.tobytes() == labels.tobytes()
+    assert np.array(got.wcss_history).tobytes() == np.array(history).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=n, max_size=n),
+        st.integers(1, n),
+    )),
+    st.integers(0, 2**16),
+)
+def test_kmeans_equals_the_frozen_kmeans(points_k, seed):
+    points, k = points_k
+    got = kmeans(points, k, seed=seed)
+    centroids, labels, history = frozen_kmeans(points, k, seed=seed)
+    assert got.centroids.tobytes() == centroids.tobytes()
+    assert got.labels.tobytes() == labels.tobytes()
+    assert np.array(got.wcss_history).tobytes() == np.array(history).tobytes()
 
 
 # --- geo series ---------------------------------------------------------------

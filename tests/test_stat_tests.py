@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -617,6 +618,19 @@ def test_per_day_verdict_at_every_pass_count_near_the_bar():
                         days = [np.empty(0) if ok else np.zeros(5) for ok in verdicts]
                         out = poisson_test_days(days, 0.0, 1.0, min_pass_fraction=threshold)
                         assert_decides_like_loop(out, verdicts, threshold)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_test([1.0, 2.0, 3.0], 0.0, math.inf), "interval bound hi must be finite, got inf"),
+    (lambda: uniform_ks_test([1.0], math.nan, 3.0), "interval bound lo must be finite, got nan"),
+    (lambda: poisson_test_days([np.array([1.0, 2.0, 3.0])], -math.inf, 10.0),
+     "interval bound lo must be finite, got -inf"),
+    (lambda: poisson_test_days([], 0.0, math.nan, mode="pooled"), "interval bound hi must be finite, got nan"),
+])
+def test_a_bound_that_is_not_finite_is_named(call, message):
+    # an infinite hi made the log test's statistic NaN, and an infinite lo passed every day
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_quota_where_the_ceiling_overshoots():
