@@ -416,6 +416,8 @@ def learn(
     """
     config = config or SearchConfig()
     kind, n_equal = parse_method(method)
+    if kind == "equal" and config.trace_path is not None:
+        raise ValueError(f"method '{method}' runs no search, so it writes no trace; leave config.trace_path unset")
     if kind == "equal" and n_equal > train_counts.n_cells:
         raise ValueError(
             f"method '{method}' asks for {n_equal} bins, more than the {train_counts.n_cells} cells "
@@ -455,7 +457,7 @@ def learn(
         epsilon=config.epsilon,
         eta_seconds=config.eta_seconds,
     )
-    if config.trace_path and traces:
+    if config.trace_path:
         _write_trace(config.trace_path, traces)
     return report
 

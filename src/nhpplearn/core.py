@@ -170,7 +170,8 @@ class Partition:
     def bin_index(self, t: np.ndarray | float) -> np.ndarray:
         """Map times to bin indices; t == window.end folds into the last bin."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < self.window.start) or np.any(t > self.window.end):
+        # NaN fails both bounds, so test for being inside
+        if not np.all((t >= self.window.start) & (t <= self.window.end)):
             raise ValueError("times outside the partition window")
         idx = np.searchsorted(self.edges(), t, side="right") - 1
         return np.minimum(idx, self.n_bins - 1)

@@ -224,6 +224,11 @@ def save_model(model: RateModel, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number; json reads true and false as bools, which are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_model(path: str | Path) -> RateModel:
     with open(path) as fh:
         payload = json.load(fh)
@@ -238,16 +243,22 @@ def load_model(path: str | Path) -> RateModel:
     win = payload["window"]
     if not isinstance(win, dict) or "start" not in win or "end" not in win:
         raise ValueError(f"{path}: field 'window' must carry 'start' and 'end'")
+    for key in ("start", "end"):
+        if not _is_number(win[key]):
+            raise ValueError(f"{path}: field 'window' {key} must be a number, got {win[key]!r}")
     try:
         window = TimeWindow(float(win["start"]), float(win["end"]))
     except ValueError as exc:
         raise ValueError(f"{path}: field 'window': {exc}") from None
+    knots = payload["knots"]
+    if not (isinstance(knots, list) and all(map(_is_number, knots))):
+        raise ValueError(f"{path}: field 'knots' must be a list of numbers")
     try:
-        partition = Partition(window=window, knots=tuple(payload["knots"]))
-    except (TypeError, ValueError) as exc:
+        partition = Partition(window=window, knots=tuple(knots))
+    except ValueError as exc:
         raise ValueError(f"{path}: field 'knots': {exc}") from None
     degree = payload["degree"]
-    if not isinstance(degree, int) or degree < 0:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError(f"{path}: field 'degree' must be a nonnegative integer")
     coeffs = payload["coefficients"]
     if not isinstance(coeffs, list):
@@ -265,17 +276,13 @@ def load_model(path: str | Path) -> RateModel:
             )
         for v in row:
             # json reads NaN and Infinity as floats; a model never holds them
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not (_is_number(v) and math.isfinite(v)):
                 raise ValueError(f"{path}: field 'coefficients' row {k} holds {v!r}, not a finite number")
     clamp = payload["clamp"]
     if not isinstance(clamp, bool):
         raise ValueError(f"{path}: field 'clamp' must be a boolean")
     resolution = payload.get("resolution")
-    if resolution is not None and (
-        isinstance(resolution, bool)
-        or not isinstance(resolution, (int, float))
-        or not (math.isfinite(resolution) and resolution > 0)
-    ):
+    if resolution is not None and not (_is_number(resolution) and math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"{path}: field 'resolution' must be a positive number of seconds")
     return RateModel(
         partition=partition, coefficients=np.asarray(coeffs, dtype=float), clamp=clamp,

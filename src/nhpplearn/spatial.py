@@ -26,14 +26,21 @@ class GeoEventSeries:
     window: TimeWindow = TimeWindow(0.0, 86400.0)
 
     def __post_init__(self) -> None:
-        day = np.asarray(self.day, dtype=int)
+        day = np.asarray(self.day)
+        if day.dtype.kind == "f":
+            # NaN and inf fail too; past ±2**53 a float holds no exact id
+            bad = ~((np.trunc(day) == day) & (np.abs(day) <= 2**53))
+            if bad.any():
+                raise ValueError(f"day ids must be integers within ±2**53, got {float(day[bad.argmax()])}")
+        day = day.astype(int, copy=False)
         seconds = np.asarray(self.seconds, dtype=float)
         lon = np.asarray(self.lon, dtype=float)
         lat = np.asarray(self.lat, dtype=float)
         n = day.size
         if not (seconds.size == lon.size == lat.size == n):
             raise ValueError("day, seconds, lon, lat must have equal lengths")
-        if n and (seconds.min() < self.window.start or seconds.max() >= self.window.end):
+        # NaN fails both bounds, so test for being inside
+        if not np.all((seconds >= self.window.start) & (seconds < self.window.end)):
             raise ValueError("seconds outside the observation window")
         if not (np.all(np.isfinite(lon)) and np.all(np.isfinite(lat))):
             raise ValueError("coordinates must be finite")

@@ -10,21 +10,19 @@ comparison against 1 - e^{-x} calibrates the test exactly, independent of
 the (unknown) rate level.  A plain KS test of the raw times against the
 uniform law is available as an alternative.
 
-A day's statistic comes from one of two kernels, and both give bit for bit
-what the plain formulas give.  That matters: the ivanov divider splits on
-these verdicts, and a statistic one ulp off at the critical value changes the
-partition.  ``_day_statistic`` tests one day.  It does the least work per
-arrival that still keeps the scalar order of operations: arrivals are sorted
-only when they are out of order, each ``L - t_i`` is logged once
-(``ln(L - t_{i-1})`` is the log of the same double one slot earlier), and the
-KS supremum takes two differences instead of four absolute values (monotone
-rounding and exact negation make them the same double).  Its cost is about
-15 numpy calls per day, so small days pay mostly for calls.
-``_log_statistics`` takes a chunk of sorted days of the log test in one
-buffer and about 20 numpy calls in all, with the same elementwise operations
-on the same doubles; only the sort stays one call per day.  "Bit for bit"
-holds within one SIMD dispatch: numpy picks its ``log`` and ``exp`` code by
-CPU (AVX-512 or not), and those can differ in the last bit between hosts.
+One kernel, ``_log_statistics``, computes the log test's statistic, and it
+gives bit for bit what the plain formulas give.  That matters: the ivanov
+divider splits on these verdicts, and a statistic one ulp off at the critical
+value changes the partition.  It takes a chunk of sorted days in one buffer
+and about 20 numpy calls in all, with the elementwise operations of the scalar
+formulas on the same doubles: each ``L - t_i`` is logged once, and the KS
+supremum takes two differences instead of four absolute values (monotone
+rounding and exact negation make them the same double); only the sort stays
+one call per day.  ``_day_statistic`` checks one day, sorts it only when it
+is out of order, and hands it to the kernel as a chunk of one; the uniform KS
+statistic it computes itself.  "Bit for bit" holds within one SIMD dispatch:
+numpy picks its ``log`` and ``exp`` code by CPU (AVX-512 or not), and those
+can differ in the last bit between hosts.
 
 ``poisson_test_days`` in per-day mode decides rather than counts: it stops
 as soon as the verdict is settled, passing once the passing days clear the
@@ -32,23 +30,23 @@ bar and failing once passing every untested day would still fall short.  Its
 ``n_passed`` counts the passing days among the ``n_tested`` days it looked
 at.  Both stops use the float comparison that judged the full pass fraction,
 so every verdict is the one an exhaustive loop would give.  The log test
-takes the next days in one chunk: light days (at most ``_HEAVY_DAY``
-arrivals) up to every day the verdict may still need, heavier days only up
-to the days it needs whatever they say.  The loop's stop is then replayed
-over the chunk's verdicts, so ``n_tested`` and ``n_passed`` are what the
-day-by-day loop gives; light days computed past the stop are not counted.
-The rules that choose between the kernels were set by measurement (2-vCPU
-Xeon VM, numpy 2.4.6; CHANGES.md has the tables), and they sit in module
-constants, not options:
+takes the next days in one chunk of at least one day: light days (at most
+``_HEAVY_DAY`` arrivals) up to every day the verdict may still need, heavier
+days only up to the days it needs whatever they say.  The loop's stop is then
+replayed over the chunk's verdicts, so ``n_tested`` and ``n_passed`` are what
+the day-by-day loop gives; light days computed past the stop are not counted.
+A chunk the kernel declines goes day by day through ``_day_statistic``, which
+sorts the day or names the fault.  Two module constants, not options, bound a
+chunk; they were set by measurement (2-vCPU Xeon VM, numpy 2.4.6; CHANGES.md
+has the tables):
 
-* ``_MIN_CHUNK_DAYS`` = 4: days of 128 arrivals took 14 us alone, 8.3 us each in a chunk of 4.
-* ``_MIN_CALL_DAYS`` = 8: exp3's 4-day calls took 99.5 ms one by one and 100.3 ms chunked.
 * ``_CHUNK_ARRIVALS`` = 24,000: on exp2's ivanov day tests, 16,000 was 2-3% and 48,000 0-6% slower.
 * ``_HEAVY_DAY`` = 800: testing every heavy day alone made those day tests 5-15% slower.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -115,9 +113,9 @@ def _check_interval(lo: float, hi: float) -> None:
 def _day_statistic(arrivals: Sequence[float], lo: float, hi: float, log: bool) -> tuple[float, int]:
     """KS statistic and size of one day's arrivals on [lo, hi); (0.0, 0) when empty.
 
-    ``log`` selects the exponential-spacings transform, else the raw times
-    are compared with the uniform law.  Arrivals are sorted only when they
-    are not sorted already.
+    ``log`` selects the exponential-spacings transform, computed by
+    ``_log_statistics``, else the raw times are compared with the uniform law.
+    Arrivals are sorted only when they are not sorted already.
     """
     _check_interval(lo, hi)
     arr = np.asarray(arrivals, dtype=float)
@@ -131,26 +129,9 @@ def _day_statistic(arrivals: Sequence[float], lo: float, hi: float, log: bool) -
     # NaN sorts last and fails every comparison, so test for being inside
     if not (lo <= arr[0] and arr[-1] < hi):
         raise ValueError(f"arrivals must lie in [{lo}, {hi})")
-    span = hi - lo
-    r = np.arange(m + 1.0)
     if log:
-        # L = log(hi - [lo, t_1, ..., t_m]): log(hi - t_{i-1}) is L[i-1], the
-        # log of the same double as log(hi - t_i) one step earlier.  hi - t_i
-        # is exact for t_i near hi, where span - (t_i - lo) can round to 0
-        logs = np.empty(m + 1)
-        logs[0] = span
-        np.subtract(hi, arr, out=logs[1:])
-        np.log(logs, out=logs)
-        f = logs[:-1] - logs[1:]
-        f *= r[:0:-1]  # weights m + 1 - i
-        f.sort()
-        np.negative(f, out=f)
-        np.exp(f, out=f)
-        np.subtract(1.0, f, out=f)
-    else:
-        f = (arr - lo) / span
-    r /= m
-    return _ks_sup(f, r), m
+        return float(_log_statistics([arr], [m], lo, hi)[0]), m
+    return _ks_sup((arr - lo) / (hi - lo), np.arange(m + 1.0) / m), m
 
 
 def _outcome(stat: float, m: int, epsilon: float, method: str) -> TestOutcome:
@@ -226,19 +207,18 @@ class MultiDayOutcome:
         }
 
 
-# where per-day mode leaves ``_log_statistics`` for ``_day_statistic`` (see
-# the module docstring for the measurements that set them)
+# how per-day mode cuts the days of the log test into chunks (see the module
+# docstring for the measurements that set them)
 _HEAVY_DAY = 800  # a heavier day is chunked only if the verdict needs it
-_CHUNK_ARRIVALS = 24000  # most arrivals in one chunk
-_MIN_CHUNK_DAYS = 4  # fewer days in a row are tested one by one
-_MIN_CALL_DAYS = 8  # a call of fewer days tests them one by one
+_CHUNK_ARRIVALS = 24000  # most arrivals in one chunk, unless its first day alone is more
 
 
 def _log_statistics(days: Sequence[np.ndarray], sizes: Sequence[int], lo: float, hi: float) -> np.ndarray | None:
-    """``_day_statistic(day, lo, hi, True)[0]`` of each of ``days`` (of ``sizes`` arrivals), all at once.
+    """The log test's KS statistic of each of ``days`` (of ``sizes`` arrivals), all at once.
 
-    Every statistic is bit for bit the per-day one: the same elementwise
-    operations on the same doubles, with the days laid out one after another.
+    Every statistic is bit for bit what the scalar per-day formulas give: the
+    same elementwise operations on the same doubles, with the days laid out
+    one after another (an empty day's statistic is 0.0).
     Each nonempty day is a block ``[lo, t_1, ..., t_m]`` of one buffer, closed
     by one more ``lo``, so the differences of ``log(hi - buffer)`` hold each
     day's spacings and then one junk slot that crosses into the next block.
@@ -247,7 +227,7 @@ def _log_statistics(days: Sequence[np.ndarray], sizes: Sequence[int], lo: float,
     ``exp`` needs no negation; the KS ramps then run descending too.  The
     junk slot gets weight 0, stays out of the day's sort and is masked before
     the per-day max.  Returns None, before any log is taken, unless every day
-    is a sorted 1-D array of arrivals in ``[lo, hi)``; the caller then tests
+    is a sorted 1-D array of arrivals in ``[lo, hi)``; the caller then checks
     the days one by one, which sorts them or names the fault.
     """
     blocks = [i for i, m in enumerate(sizes) if m]
@@ -326,30 +306,36 @@ def poisson_test_days(
         """Whether ``k`` passing days of ``n_days`` reach the bar."""
         return (1.0 if n_days == 0 else k / n_days) >= bar
 
-    # the fraction is monotone in k, so k passing days clear the bar iff k >= quota;
-    # near k / n_days the ceiling can overshoot by one (25 days at 7/25 + 1e-12)
-    quota = min(max(math.ceil(bar * n_days), 0), n_days)
-    while quota > 0 and clears(quota - 1):
-        quota -= 1
-    while not clears(quota):
-        quota += 1
+    # the fraction is monotone in k, so the quota is the least k that clears the bar
+    quota = bisect.bisect_left(range(n_days + 1), True, key=clears)
     slack = n_days - quota  # failing days the bar allows
     sizes = None
-    if log and n_days >= _MIN_CALL_DAYS:
+    if log:
         try:
             sizes = [len(arr) for arr in day_arrivals]
         except TypeError:  # a 0-d day: the per-day path names it
             pass
+
+    def one_by_one(start: int, stop: int):
+        """Each day's statistic from ``_day_statistic``, on demand; an error names its day."""
+        for d in range(start, stop):
+            try:
+                yield _day_statistic(day_arrivals[d], lo, hi, log)
+            except ValueError as err:
+                raise ValueError(f"day {d}: {err}") from None
+
     c = -0.5 * math.log(epsilon / 2.0)  # ks_critical(m, epsilon) is sqrt(c / m)
     # stop once the passes reach the quota, or once the failures exceed the slack
-    n_passed = n_tested = scalar_until = 0
+    n_passed = n_tested = 0
     while n_passed < quota and n_tested - n_passed <= slack:
-        if sizes is not None and n_tested >= scalar_until:
+        end = n_tested + 1
+        stats = None
+        if sizes is not None:
             # the next days in one chunk: light days up to the last the verdict
             # may need, heavy days only up to the last it needs whatever they say
             need = n_tested + quota - n_passed
             sure = min(need, n_passed + slack + 1)
-            end, arrivals = n_tested, 0
+            arrivals = sizes[n_tested]
             while (
                 end < need
                 and (end < sure or sizes[end] <= _HEAVY_DAY)
@@ -357,27 +343,16 @@ def poisson_test_days(
             ):
                 arrivals += sizes[end]
                 end += 1
-            if end - n_tested >= _MIN_CHUNK_DAYS:
-                stats = _log_statistics(day_arrivals[n_tested:end], sizes[n_tested:end], lo, hi)
-                if stats is not None:
-                    # the loop's own verdicts and stop, replayed; the chunk holds no more
-                    # days than the quota still needs, so only a failure can stop it early
-                    for stat, m in zip(stats.tolist(), sizes[n_tested:end]):
-                        n_tested += 1
-                        if m <= 1 or stat <= math.sqrt(c / m):
-                            n_passed += 1
-                        elif n_tested - n_passed > slack:
-                            break
-                    continue
-                scalar_until = end
-        try:
-            stat, m = _day_statistic(day_arrivals[n_tested], lo, hi, log)
-        except ValueError as err:
-            raise ValueError(f"day {n_tested}: {err}") from None
-        n_tested += 1
-        # the verdict of _outcome, without building one per day
-        if m <= 1 or stat <= math.sqrt(c / m):
-            n_passed += 1
+            stats = _log_statistics(day_arrivals[n_tested:end], sizes[n_tested:end], lo, hi)
+        # the loop's own verdicts and stop; a chunk holds no more days than the
+        # quota still needs, so only a failure can stop it early
+        results = one_by_one(n_tested, end) if stats is None else zip(stats.tolist(), sizes[n_tested:end])
+        for stat, m in results:
+            n_tested += 1
+            if m <= 1 or stat <= math.sqrt(c / m):
+                n_passed += 1
+            elif n_tested - n_passed > slack:
+                break
     for d in range(n_tested, n_days):  # NaN fails both bounds
         arr = day_arrivals[d]
         if len(arr) and not (lo <= arr[0] and arr[-1] < hi):

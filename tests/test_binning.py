@@ -329,6 +329,15 @@ def test_learn_equal_method_reports_requested_bins():
     assert sum(rep.bin_sizes) == counts.counts.size
 
 
+def test_learn_equal_method_refuses_a_trace_path(tmp_path):
+    # equal:N runs no search, so a trace path was accepted and no file written
+    counts = CountTable.from_events(uniform_series(2, 200), 300.0)
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match="method 'equal:6' runs no search.*trace_path"):
+        learn(None, counts, method="equal:6", config=SearchConfig(trace_path=str(path)))
+    assert not path.exists()
+
+
 def test_learn_equal_bins_are_capped_by_the_cell_count():
     counts = CountTable.from_events(uniform_series(2, 200), 300.0)
     assert learn(None, counts, method=f"equal:{counts.n_cells}").n_bins == counts.n_cells
@@ -522,7 +531,8 @@ def learn_alone_and_shared(tmp_path, calls, train_counts, fit_config):
     """Run each (events, method, config, kwargs) call twice: alone, and on one shared CellData.
 
     Returns the pairs of (report, JSONL trace bytes); the shared calls run in
-    order, so each finds the fits of the calls before it.
+    order, so each finds the fits of the calls before it.  ``equal:N`` runs no
+    search, so it is given no trace path.
     """
     shared = CellData(train_counts, fit_config)
     pairs = []
@@ -530,9 +540,10 @@ def learn_alone_and_shared(tmp_path, calls, train_counts, fit_config):
         out = []
         for side, data in (("alone", None), ("shared", shared)):
             path = tmp_path / f"{i}-{side}.jsonl"
+            trace_path = None if method.startswith("equal:") else str(path)
             rep = learn(
                 events, train_counts, method=method, fit_config=fit_config,
-                config=replace(config, trace_path=str(path)), data=data, **kwargs,
+                config=replace(config, trace_path=trace_path), data=data, **kwargs,
             )
             out.append((report_bytes(rep), path.read_bytes() if path.exists() else None))
         pairs.append(out)

@@ -307,6 +307,28 @@ def test_eval_rejects_a_bad_resolution(runner, tmp_path, value):
     assert f"resolution must be positive and finite, got {float(value)!r}" in result.output
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("window", {"start": [0], "end": 86400.0}, "field 'window' start must be a number, got [0]"),
+    ("knots", "5", "field 'knots' must be a list of numbers"),
+    ("degree", True, "field 'degree' must be a nonnegative integer"),
+])
+def test_eval_names_a_bad_model_field(runner, tmp_path, field, value, message):
+    # a window start that float() refuses ended eval in a TypeError traceback
+    simulate_small(runner, tmp_path)
+    run_ok(runner, [
+        "learn", "--input", str(tmp_path / "train.csv"), "--method", "equal:4", "--degree", "1",
+        "--out-dir", str(tmp_path / "fit"),
+    ])
+    model_path = tmp_path / "fit" / "model.json"
+    payload = json.loads(model_path.read_text())
+    payload[field] = value
+    model_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["eval", "--model", str(model_path), "--input", str(tmp_path / "test.csv")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {model_path}: {message}" in result.output
+
+
 def test_eval_names_a_resolution_with_too_many_cells(runner, tmp_path):
     simulate_small(runner, tmp_path)
     run_ok(runner, [

@@ -166,6 +166,16 @@ def test_bin_index_rejects_outside_window():
         p.bin_index(np.array([-1.0]))
 
 
+@pytest.mark.parametrize("t", [[math.nan, 1.0], [1.0, math.nan], [math.nan]])
+def test_nan_times_are_outside_the_window(t):
+    # NaN fails both bounds of an outside test, so evaluate returned the last bin's rate for it
+    model = RateModel(Partition(TimeWindow(0.0, 90.0), (30.0,)), np.array([[1.0], [2.0]]))
+    with pytest.raises(ValueError, match="outside the partition window"):
+        model.partition.bin_index(np.array(t))
+    with pytest.raises(ValueError, match="outside the partition window"):
+        model.evaluate(t)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=1.0, max_value=86399.0), min_size=1, max_size=8, unique=True))
 def test_bin_index_matches_linear_scan(raw_knots):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -608,6 +609,21 @@ def test_model_schema_violations(tmp_path):
     dump(lambda p: p["coefficients"].__setitem__(2, 0.5))
     with pytest.raises(ValueError, match="'coefficients' row 2 must be a list of numbers"):
         load_model(path)
+
+    for key, bad in (("start", [0]), ("end", "86400"), ("start", None), ("end", True)):
+        dump(lambda p: p["window"].__setitem__(key, bad))
+        with pytest.raises(ValueError, match=re.escape(f"field 'window' {key} must be a number, got {bad!r}")):
+            load_model(path)
+
+    for bad in ("5", {"21600.0": 1}, 21600.0, None, [21600.0, "64800"], [True]):
+        dump(lambda p: p.update(knots=bad))
+        with pytest.raises(ValueError, match="field 'knots' must be a list of numbers"):
+            load_model(path)
+
+    for bad in (True, False, 1.0):
+        dump(lambda p: p.update(degree=bad))
+        with pytest.raises(ValueError, match="'degree' must be a nonnegative integer"):
+            load_model(path)
 
     for bad, shown in (("x", "'x'"), (None, "None"), (True, "True"), (float("nan"), "nan"), (float("inf"), "inf")):
         dump(lambda p: p["coefficients"][1].__setitem__(0, bad))

@@ -181,6 +181,27 @@ def test_geo_series_validation():
         GeoEventSeries(day=[0], seconds=[5.0], lon=[np.inf], lat=[0.0])
 
 
+@pytest.mark.parametrize("seconds", [[np.nan, 5.0], [5.0, np.nan], [np.nan, np.nan]])
+def test_geo_series_rejects_nan_seconds(seconds):
+    # NaN made seconds.min() NaN, which fails both window comparisons
+    with pytest.raises(ValueError, match="seconds outside the observation window"):
+        GeoEventSeries(day=[0, 1], seconds=seconds, lon=[0.0, 0.0], lat=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("day, shown", [
+    ([0.5, 1.7], "0.5"), ([0.0, 1.5], "1.5"), ([0.0, np.nan], "nan"), ([np.inf, 1.0], "inf"), ([1e20, 1.0], "1e+20"),
+])
+def test_geo_series_rejects_day_ids_that_are_not_integers(day, shown):
+    # [0.5, 1.7] was truncated to [0, 1] without a word, and 1e20 cast to -2**63
+    with pytest.raises(ValueError, match=re.escape(f"day ids must be integers within ±2**53, got {shown}")):
+        GeoEventSeries(day=day, seconds=[5.0, 6.0], lon=[0.0, 0.0], lat=[0.0, 0.0])
+
+
+def test_geo_series_takes_integral_float_day_ids():
+    geo = GeoEventSeries(day=[3.0, 1.0], seconds=[5.0, 6.0], lon=[0.0, 0.0], lat=[0.0, 0.0])
+    assert geo.day.dtype.kind == "i" and geo.day.tolist() == [3, 1]
+
+
 def synthetic_geo(seed=0, n_days=3, per_day=240):
     rng = np.random.default_rng(seed)
     centers = np.array([[0.0, 0.0], [6.0, 1.0], [3.0, 5.0]])

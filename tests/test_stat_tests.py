@@ -416,29 +416,54 @@ def test_chunk_policy(monkeypatch):
     rng = np.random.default_rng(3)
 
     def tested(days):
+        """Day indices of each kernel call and each single-day test since the last call (None: not in ``days``)."""
         index = {id(d): i for i, d in enumerate(days)}
-        return [[index[i] for i in call] for call in chunks], [index[i] for (i,) in singles]
+        in_chunks = [[index.get(i) for i in call] for call in chunks]
+        alone = [index.get(i) for (i,) in singles]
+        chunks.clear()
+        singles.clear()
+        return in_chunks, alone
+
+    def in_order(calls, n_tested):
+        """Whether the calls took days 0, 1, ... once each, in order, and at least the ``n_tested`` tested days."""
+        days_seen = [i for call in calls for i in call]
+        return days_seen == list(range(len(days_seen))) and len(days_seen) >= n_tested
 
     # 120 light days that pass: every day the quota needs goes through chunks
     days = [np.sort(rng.uniform(0.0, 1.0, 100)) for _ in range(120)]
     out = poisson_test_days(days, 0.0, 1.0)
     in_chunks, alone = tested(days)
-    assert out.passed and in_chunks
-    assert sorted(alone + [i for call in in_chunks for i in call]) == list(range(out.n_tested))
-    # a call of fewer days than a chunk amortises tests them one by one
-    chunks.clear()
-    singles.clear()
-    small = days[: stat_tests._MIN_CALL_DAYS - 1]
-    poisson_test_days(small, 0.0, 1.0)
-    assert not chunks and singles
+    assert out.passed and not alone and len(in_chunks) > 1
+    assert in_order(in_chunks, out.n_tested)
+    # calls of 1 to 7 days go through the kernel too
+    for n_days in range(1, 8):
+        out = poisson_test_days(days[:n_days], 0.0, 1.0)
+        in_chunks, alone = tested(days)
+        assert not alone and in_chunks and in_order(in_chunks, out.n_tested)
+    # a day of more arrivals than a chunk holds is tested in a chunk of its own
+    big = [np.sort(rng.uniform(0.0, 1.0, stat_tests._CHUNK_ARRIVALS + 1))] + days[:9]
+    out = poisson_test_days(big, 0.0, 1.0)
+    in_chunks, alone = tested(big)
+    assert in_chunks[0] == [0] and not alone and in_order(in_chunks, out.n_tested)
     # heavy days that fail: no heavy day is tested that the loop would not test
-    chunks.clear()
-    singles.clear()
-    days = [np.sort(np.sqrt(rng.uniform(size=1000))) for _ in range(120)]
-    out = poisson_test_days(days, 0.0, 1.0)
+    heavy = [np.sort(np.sqrt(rng.uniform(size=1000))) for _ in range(120)]
+    out = poisson_test_days(heavy, 0.0, 1.0)
+    assert not out.passed and out.n_tested == 13
+    assert tested(heavy) == ([list(range(13))], [])
+    # _day_statistic tests the days of the uniform KS test, a pooled call, and
+    # the days of a chunk the kernel declines (here for an unsorted day)
+    out = poisson_test_days(days[:10], 0.0, 1.0, method="ks-uniform")
+    assert tested(days) == ([], list(range(out.n_tested)))
+    poisson_test_days(days[:10], 0.0, 1.0, mode="pooled")
     in_chunks, alone = tested(days)
-    assert not out.passed and out.n_tested == 13 and in_chunks
-    assert sorted(alone + [i for call in in_chunks for i in call]) == list(range(13))
+    assert len(alone) == 1 and len(in_chunks) == 1
+    want = poisson_test_days(days[:10], 0.0, 1.0)
+    tested(days)
+    shuffled = days[:10]
+    shuffled[3] = rng.permutation(days[3])
+    out = poisson_test_days(shuffled, 0.0, 1.0)
+    in_chunks, alone = tested(shuffled)
+    assert out == want and 3 in alone and alone == in_chunks[0][: len(alone)]
 
 
 def test_days_computed_past_the_stop_are_not_checked_beyond_their_ends():
@@ -456,7 +481,7 @@ def test_days_computed_past_the_stop_are_not_checked_beyond_their_ends():
 @pytest.mark.parametrize("bad", [[0.2, 2.0], [0.2, math.nan], [math.nan], [0.6, 0.2, 1.5], [-0.1]])
 def test_a_tested_day_names_itself_in_a_range_error(bad):
     message = r"^day {}: arrivals must lie in \[0.0, 1.0\)$"
-    # two days are tested one by one
+    # two days go to one chunk, which declines the faulty day
     with pytest.raises(ValueError, match=message.format(1)):
         poisson_test_days([np.array([0.5]), np.array(bad)], 0.0, 1.0)
     # twenty light days go to one chunk, which declines the faulty day; the
