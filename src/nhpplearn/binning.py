@@ -18,7 +18,8 @@ the stretches the current fit explains worst:
 * ``relaxed``: no tests; intervals divide unconditionally until their
   length drops to twice the floor ``eta`` (used for bin-budget sweeps).
 
-Across restarts, ``learn`` keeps the partition with the lowest training risk.
+Across restarts, ``learn`` keeps the partition with the lowest training risk,
+``binned_risk``, the number its report prints.
 
 A run's one record is its ``SearchTrace``, plain rows of the states it visited
 and of its events; the best state under a ``gamma`` and the ``TraceEntry``
@@ -41,8 +42,10 @@ from .core import (
     EventSeries,
     FitReport,
     Partition,
+    RateModel,
     TimeWindow,
     binned_risk,
+    check_integer,
     penalized_risk,
 )
 from .regression import CellData, FitConfig, evaluate, fit_partition
@@ -73,8 +76,11 @@ class SearchConfig:
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.max_depth < 1 or self.max_bins < 1 or self.max_restarts < 1:
-            raise ValueError("search budgets must be positive")
+        for name in ("max_depth", "max_bins", "max_restarts", "max_retries", "seed"):
+            check_integer(name, getattr(self, name))
+        for name in ("max_depth", "max_bins", "max_restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"search budgets must be positive, got {name}={getattr(self, name)!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be nonnegative")
         if self.seed < 0:
@@ -401,7 +407,7 @@ def learn(
     """Learn a piecewise rate model with the requested division strategy.
 
     Runs ``config.max_restarts`` independent divider runs and keeps the best
-    partition by training risk, then refits it and scores train/test RMSE.
+    partition by training risk, and scores its fit's train/test RMSE.
     ``method`` is one of ``ivanov``, ``tikhonov``, ``relaxed``, or
     ``equal:N``; for ``tikhonov`` with ``gamma=None`` the penalty weight is
     picked from a small grid on a held-out tail of the training days.
@@ -437,11 +443,11 @@ def learn(
         config = replace(config, gamma=_select_gamma(train_counts, fit_config, config))
 
     if kind == "equal":
-        partition = equal_partition(train_counts.window, n_equal)
+        fit = fit_partition(data, equal_partition(train_counts.window, n_equal))
         traces: list[SearchTrace] = []
     else:
-        (partition,), traces = _search_best(train_events, data, kind, config, (config.gamma,))
-    model, risks, sizes = fit_partition(data, partition)
+        (fit,), traces = _search_best(train_events, data, kind, config, (config.gamma,))
+    model, risks, sizes = fit
     report = FitReport(
         method=method,
         model=model,
@@ -451,7 +457,7 @@ def learn(
         rmse_test=evaluate(model, test_counts) if test_counts is not None else None,
         seed=config.seed,
         penalized_risk=(
-            penalized_risk(sizes, risks, partition, config.gamma) if config.gamma is not None else None
+            penalized_risk(sizes, risks, model.partition, config.gamma) if config.gamma is not None else None
         ),
         gamma=config.gamma,
         epsilon=config.epsilon,
@@ -468,47 +474,24 @@ def _search_best(
     kind: str,
     config: SearchConfig,
     gammas: Sequence[float | None],
-) -> tuple[list[Partition], list[SearchTrace]]:
-    """Run ``config.max_restarts`` searches, then pick a winning partition per gamma.
+) -> tuple[list[tuple[RateModel, np.ndarray, np.ndarray]], list[SearchTrace]]:
+    """Run ``config.max_restarts`` searches, then pick a winning fit per gamma.
 
     ``gamma`` only ranks the states a search visits, so one set of runs
     serves every value in ``gammas``: each restart's best state under it is
-    scored by ``_outer_score``, and the lowest score wins (a tie keeps the
-    earlier restart).
+    fitted by ``fit_partition`` (read from the memo of ``data``) and scored
+    by ``binned_risk``, the training risk ``learn`` reports.  The lowest score
+    wins; ``min`` keeps the first of equal scores, so a tie goes to the
+    earlier restart.  A winner is ``fit_partition``'s (model, risks, sizes).
     """
     traces = [
         _SearchEngine(data, train_events, kind, config, r).run() for r in range(config.max_restarts)
     ]
     winners = []
     for gamma in gammas:
-        best_score = math.inf
-        best_knots: tuple[float, ...] = ()
-        for trace in traces:
-            knots = trace.best_state(gamma)[0]
-            score = _outer_score(data, knots)
-            if score < best_score:
-                best_score = score
-                best_knots = knots
-        winners.append(Partition(window=data.window, knots=best_knots))
+        fits = [fit_partition(data, Partition(data.window, trace.best_state(gamma)[0])) for trace in traces]
+        winners.append(min(fits, key=lambda fit: binned_risk(fit[2], fit[1])))
     return winners, traces
-
-
-def _outer_score(data: CellData, knots: tuple[float, ...]) -> float:
-    """Training risk of a restart's best partition, summed bin by bin in order.
-
-    The engine's running sum and ``binned_risk`` (an ``np.dot``, whose
-    pairwise or blocked sum often differs in the last bit) reach the same
-    risk through other roundings.  Relaxed restarts tie down to the last
-    bit, so this exact in-order sum decides which restart wins.
-    """
-    edges = Partition(window=data.window, knots=knots).edges()
-    weighted = 0.0
-    total = 0
-    for k in range(len(knots) + 1):
-        _, risk, m = data.fit_interval(edges[k], edges[k + 1])
-        weighted += m * risk
-        total += m
-    return weighted / total
 
 
 def _select_gamma(train_counts: CountTable, fit_config: FitConfig | None, config: SearchConfig) -> float:
@@ -532,8 +515,7 @@ def _select_gamma(train_counts: CountTable, fit_config: FitConfig | None, config
     winners, _ = _search_best(None, data, "tikhonov", config, GAMMA_GRID)
     best_gamma = GAMMA_GRID[0]
     best_rmse = math.inf
-    for gamma, partition in zip(GAMMA_GRID, winners):
-        model, _, _ = fit_partition(data, partition)
+    for gamma, (model, _, _) in zip(GAMMA_GRID, winners):
         rmse = evaluate(model, val_table)
         if rmse < best_rmse:
             best_rmse = rmse

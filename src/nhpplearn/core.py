@@ -73,6 +73,12 @@ class EventSeries:
         return int(sum(arr.size for arr in self.days))
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse ``value`` unless it is a Python or numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _cell_edges(window: TimeWindow, resolution: float) -> np.ndarray:
     """Edges of the ``resolution``-second cells covering ``window``; the last may be shorter."""
     # NaN fails every comparison, so a bare sign check would let it through
@@ -273,7 +279,14 @@ class FitReport:
 # ---------------------------------------------------------------------------
 
 def binned_risk(sizes: Sequence[int], risks: Sequence[float]) -> float:
-    """Occupancy-weighted mean of per-bin risks: (1/m) * sum_k m_k * R_k."""
+    """Occupancy-weighted mean of per-bin risks: (1/m) * sum_k m_k * R_k, summed bin by bin.
+
+    ``learn`` ranks restarts by this value and reports it.  Relaxed restarts
+    tie down to the last bit, so the rounding of the sum picks the winner:
+    the terms are added one at a time in bin order, because ``np.dot``,
+    ``np.sum``, ``math.fsum`` and (from Python 3.12, which compensates float
+    sums) the builtin ``sum`` all round differently.
+    """
     sizes = np.asarray(sizes, dtype=float)
     risks = np.asarray(risks, dtype=float)
     if sizes.shape != risks.shape:
@@ -281,7 +294,10 @@ def binned_risk(sizes: Sequence[int], risks: Sequence[float]) -> float:
     m = sizes.sum()
     if m <= 0:
         raise ValueError("binned risk undefined for zero total occupancy")
-    return float(np.dot(sizes, risks) / m)
+    weighted = 0.0
+    for m_k, r_k in zip(sizes.tolist(), risks.tolist()):
+        weighted += m_k * r_k
+    return weighted / float(m)
 
 
 def penalized_risk(
@@ -301,9 +317,7 @@ def penalized_risk(
         raise ValueError("sizes/risks length must equal the number of bins")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    lengths = partition.lengths()
-    if np.any(lengths <= 0):
-        raise ValueError("zero-length bin in partition")
+    lengths = partition.lengths()  # positive: a Partition's knots ascend strictly inside its window
     base = binned_risk(sizes, risks)
     penalty = float(np.sum(sizes[:-1] * risks[:-1] / lengths[:-1]))
     return base + gamma * penalty

@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .binning import SearchConfig, equal_partition, learn
-from .core import CountTable, EventSeries, TimeWindow
+from .core import CountTable, EventSeries, TimeWindow, check_integer
 from .dataio import save_model
 from .regression import CellData, FitConfig, evaluate, fit_partition
 from .simulate import PiecewiseLinearRate, af_rate, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
-from .stat_tests import check_test_settings
 
 ETA_SWEEP_MINUTES = (600.0, 480.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 30.0, 20.0, 10.0)
 
@@ -59,9 +58,12 @@ class ExperimentConfig:
     geo_path: str | None = None
 
     def __post_init__(self) -> None:
-        check_test_settings(self.test_method, self.test_mode)
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        # the settings forwarded to the search and the fits are checked there,
+        # so a bad config file fails before anything is simulated
+        self.search_config()
+        self.fit_config()
+        for name in ("n_train_days", "n_test_days", "count_lo", "count_hi", "clusters"):
+            check_integer(name, getattr(self, name))
         if self.clusters < 1:
             raise ValueError(f"clusters must be at least 1, got {self.clusters!r}")
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountTable, Partition, RateModel
+from .core import CountTable, Partition, RateModel, check_integer
 
 _EPS = np.finfo(float).eps
 
@@ -57,6 +57,7 @@ class FitConfig:
     clamp: bool = True
 
     def __post_init__(self) -> None:
+        check_integer("degree", self.degree)
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
 

@@ -9,6 +9,7 @@ and arrival times are placed i.i.d. proportional to the rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +45,20 @@ class PiecewiseLinearRate:
         seg = tuple((float(s), float(c)) for s, c in self.segments)
         if len(bp) < 2 or len(seg) != len(bp) - 1:
             raise ValueError("need one (slope, intercept) pair per breakpoint gap")
+        slopes, intercepts = zip(*seg)
+        for name, values in (("breakpoints", bp), ("slopes", slopes), ("intercepts", intercepts)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {list(values)}")
         if any(b <= a for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly ascending")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        # NaN fails every comparison, so a bare sign check would let it through
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "segments", seg)
         # Augment the u-grid with zero crossings so the cumulative mass is an
         # exact trapezoid sum over pieces where the clamped rate is linear.
         grid = []
-        slopes, intercepts = zip(*seg)
         for j in range(len(seg)):
             u0, u1 = bp[j] / self.scale, bp[j + 1] / self.scale
             grid.append(u0)

@@ -89,6 +89,8 @@ def kmeans(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
     n = points.shape[0]
     if k < 1:
         raise ValueError("k must be positive")

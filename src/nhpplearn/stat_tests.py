@@ -355,6 +355,8 @@ def poisson_test_days(
                 break
     for d in range(n_tested, n_days):  # NaN fails both bounds
         arr = day_arrivals[d]
+        if np.ndim(arr) != 1:
+            raise ValueError(f"day {d}: arrivals must be a 1-D array")
         if len(arr) and not (lo <= arr[0] and arr[-1] < hi):
             raise ValueError(f"day {d}: arrivals must lie in [{lo}, {hi})")
     return MultiDayOutcome(n_passed >= quota, n_days, n_tested, n_passed, threshold, epsilon, method, mode)

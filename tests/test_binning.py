@@ -30,7 +30,7 @@ from nhpplearn import (
 )
 from nhpplearn import binning
 from nhpplearn.binning import DIVIDERS, GAMMA_GRID, _SearchEngine, parse_method
-from nhpplearn.experiments import ETA_SWEEP_MINUTES
+from nhpplearn.experiments import ETA_SWEEP_MINUTES, ExperimentConfig, _dataset
 from nhpplearn.regression import CellData
 from nhpplearn.simulate import af_rate, make_dataset
 
@@ -75,6 +75,20 @@ def test_parse_method_forms():
         assert str(info.value) == (
             f"unknown method '{bad}' (expected ivanov, tikhonov, relaxed or equal:N with N a positive integer)"
         )
+
+
+@pytest.mark.parametrize("name", ["max_depth", "max_bins", "max_restarts", "max_retries", "seed"])
+def test_search_config_refuses_settings_that_are_not_integers(name):
+    for bad in (2.5, 3.0, True, "3", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            SearchConfig(**{name: bad})
+    assert getattr(SearchConfig(**{name: np.int64(3)}), name) == 3
+
+
+def test_search_budgets_name_their_field():
+    for name in ("max_depth", "max_bins", "max_restarts"):
+        with pytest.raises(ValueError, match=rf"^search budgets must be positive, got {name}=0$"):
+            SearchConfig(**{name: 0})
 
 
 def test_search_config_validation():
@@ -595,3 +609,70 @@ def test_learn_rejects_data_of_another_table_or_fit_config():
         learn(None, counts, method="equal:2", fit_config=FitConfig(degree=1), data=CellData(counts))
     # the default FitConfig matches a CellData built without one
     assert learn(None, counts, method="equal:2", data=CellData(counts)).n_bins == 2
+
+
+# --- restarts ranked by binned_risk -------------------------------------------
+
+def outer_score(data, knots):
+    """Frozen copy of the scorer that ranked restarts before ``binned_risk`` did.
+
+    Training risk of a restart's best partition, summed bin by bin in order.
+    """
+    edges = Partition(window=data.window, knots=knots).edges()
+    weighted = 0.0
+    total = 0
+    for k in range(len(knots) + 1):
+        _, risk, m = data.fit_interval(edges[k], edges[k + 1])
+        weighted += m * risk
+        total += m
+    return weighted / total
+
+
+def oracle_winner(data, traces, gamma):
+    """The restart the frozen scorer picks: the lowest score, the earlier on a tie."""
+    best_score, best_knots = math.inf, ()
+    for trace in traces:
+        knots = trace.best_state(gamma)[0]
+        score = outer_score(data, knots)
+        if score < best_score:
+            best_score, best_knots = score, knots
+    return best_knots, best_score
+
+
+def assert_oracle_winners(data, kind, config, gammas):
+    winners, traces = binning._search_best(None, data, kind, config, gammas)
+    for gamma, (model, risks, sizes) in zip(gammas, winners):
+        knots, score = oracle_winner(data, traces, gamma)
+        assert bits(*model.partition.knots) == bits(*knots)
+        assert bits(binned_risk(sizes, risks)) == bits(score)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_best_picks_the_oracle_winners_over_the_eta_grid(seed):
+    # exp1's relaxed restarts tie down to the last bit, so the rounding of the score picks these winners
+    cfg = ExperimentConfig.exp1_defaults(seed=seed)
+    _, _, train_table, _ = _dataset(cfg)
+    data = CellData(train_table, cfg.fit_config())
+    for eta_minutes in cfg.eta_sweep_minutes:
+        assert_oracle_winners(data, "relaxed", cfg.search_config(eta_seconds=eta_minutes * 60.0), (None,))
+
+
+def test_search_best_picks_the_oracle_winners_over_the_gamma_grid():
+    # the fit days of exp2's gamma selection at seed 0
+    cfg = ExperimentConfig.exp2_defaults(seed=0)
+    _, _, train_table, _ = _dataset(cfg)
+    n_fit = min(max(1, math.ceil(0.75 * train_table.n_days)), train_table.n_days - 1)
+    fit_table = CountTable(train_table.window, train_table.resolution, train_table.counts[:n_fit])
+    assert_oracle_winners(CellData(fit_table, cfg.fit_config()), "tikhonov", cfg.search_config(), GAMMA_GRID)
+
+
+@pytest.mark.parametrize("method", ["ivanov", "tikhonov", "relaxed"])
+def test_reported_binned_risk_is_the_score_that_ranked_the_restarts(method):
+    train, _ = make_dataset(af_rate(), 30, 0, seed=0)
+    counts = CountTable.from_events(train, 300.0)
+    fit_config = FitConfig(degree=1)
+    config = SearchConfig(max_depth=12, max_bins=12, max_restarts=4, max_retries=3, seed=0,
+                          eta_seconds=1200.0 if method == "relaxed" else None)
+    data = CellData(counts, fit_config)
+    report = learn(train, counts, method=method, fit_config=fit_config, config=config, data=data)
+    assert bits(report.binned_risk) == bits(outer_score(data, report.partition.knots))

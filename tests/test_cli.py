@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,24 @@ def test_a_bad_seed_or_cluster_count_is_named(runner, tmp_path, args, message):
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert f"Error: {message}" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"max_restarts": 2.5}, "max_restarts must be an integer, got 2.5"),
+    ({"degree": 1.5}, "degree must be an integer, got 1.5"),
+    ({"max_depth": 2.5}, "max_depth must be an integer, got 2.5"),
+    ({"count_lo": 1.5}, "count_lo must be an integer, got 1.5"),
+    ({"rate": {"breakpoints": [0, 43200, 86400], "segments": [[0, 10], [0, math.nan]], "scale": 300}},
+     "intercepts must be finite, got [10.0, nan]"),
+])
+def test_exp2_config_with_a_bad_setting_fails_by_name(runner, tmp_path, payload, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_train_days": 2, "n_test_days": 1, **payload}))
+    result = runner.invoke(main, ["exp2", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert message in result.output
+    assert not (tmp_path / "out" / "exp2.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan"])

@@ -318,6 +318,37 @@ def test_binned_risk_is_occupancy_weighted_mean():
     assert math.isclose(binned_risk(sizes, risks), expected, rel_tol=1e-15)
 
 
+def in_order_risk(sizes, risks):
+    """(1/m) * sum_k m_k * R_k, the terms added left to right in plain floats."""
+    weighted = 0.0
+    for m_k, r_k in zip(sizes, risks):
+        weighted += float(m_k) * float(r_k)
+    return weighted / float(sum(sizes))
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=40,
+    ).filter(lambda bins: sum(m for m, _ in bins) > 0)
+)
+@settings(max_examples=200, deadline=None)
+def test_binned_risk_is_the_in_order_sum_bit_for_bit(bins):
+    sizes = [m for m, _ in bins]
+    risks = [r for _, r in bins]
+    assert binned_risk(sizes, risks) == in_order_risk(sizes, risks)
+    assert binned_risk(np.array(sizes), np.array(risks)) == in_order_risk(sizes, risks)
+
+
+def test_binned_risk_rounds_as_the_in_order_sum_not_as_a_dot_product():
+    # each 1e-16 is below half an ulp of 1.0, so the in-order sum stays at 1.0;
+    # a blocked sum (np.dot gives 0.0625000000000001 here) adds them first
+    sizes = [1] * 16
+    risks = [1.0] + [1e-16] * 15
+    assert binned_risk(sizes, risks) == 0.0625
+
+
 def test_binned_risk_rejects_zero_occupancy():
     with pytest.raises(ValueError, match="zero total occupancy"):
         binned_risk([0, 0], [1.0, 1.0])

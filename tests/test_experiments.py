@@ -7,6 +7,7 @@ protocols live in the acceptance suite.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,21 @@ def test_config_rejects_a_negative_seed_and_too_few_clusters(tmp_path):
     path.write_text(json.dumps({"seed": -2}))
     with pytest.raises(ValueError, match=rf"{path}: seed must be nonnegative, got -2"):
         ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("name", [
+    "n_train_days", "n_test_days", "count_lo", "count_hi", "clusters",
+    "max_depth", "max_bins", "max_restarts", "max_retries", "seed", "degree",
+])
+def test_config_refuses_settings_that_are_not_integers(tmp_path, name):
+    for bad in (1.5, 2.0, False):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            ExperimentConfig(**{name: bad})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: 2.5}))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {name} must be an integer, got 2.5$"):
+        ExperimentConfig.from_file(path)
+    assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
 
 
 def test_config_with_overrides_skips_none():

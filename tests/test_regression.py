@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,10 @@ def test_fit_bin_validations():
 def test_fit_config_validations():
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         FitConfig(degree=-1)
+    for bad in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match=rf"^degree must be an integer, got {re.escape(repr(bad))}$"):
+            FitConfig(degree=bad)
+    assert FitConfig(degree=np.int32(2)).degree == 2
 
 
 def test_few_distinct_points_reduce_degree():

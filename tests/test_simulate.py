@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,20 @@ def test_rate_validation_errors():
         PiecewiseLinearRate((0.0, 0.0), ((0.0, 1.0),))
     with pytest.raises(ValueError, match="scale must be positive"):
         PiecewiseLinearRate((0.0, 1.0), ((0.0, 1.0),), scale=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_refuses_numbers_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match=r"^breakpoints must be finite"):
+        PiecewiseLinearRate((0.0, bad), ((0.0, 1.0),))
+    with pytest.raises(ValueError, match=r"^slopes must be finite"):
+        PiecewiseLinearRate((0.0, 10.0), ((bad, 1.0),))
+    with pytest.raises(ValueError, match=r"^intercepts must be finite"):
+        PiecewiseLinearRate((0.0, 10.0, 20.0), ((0.0, 10.0), (0.0, bad)))
+    with pytest.raises(ValueError, match=r"^scale must be positive and finite"):
+        PiecewiseLinearRate((0.0, 10.0), ((0.0, 1.0),), scale=bad)
+    with pytest.raises(ValueError, match=r"^intercepts must be finite"):
+        PiecewiseLinearRate.from_dict({"breakpoints": [0, 10, 20], "segments": [[0, 10], [0, bad]]})
 
 
 def test_negative_segments_clamp_to_zero():

@@ -101,6 +101,16 @@ def test_kmeans_rejects_points_that_are_not_n_by_2():
             kmeans(bad, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_refuses_points_that_are_not_finite(bad):
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5], [3.0, 3.0]])
+    for i, j in ((0, 0), (2, 1)):
+        bad_pts = pts.copy()
+        bad_pts[i, j] = bad
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            kmeans(bad_pts, 2)
+
+
 def frozen_kmeans(points, k, seed=0, max_iter=100):
     """``kmeans`` as it was before the explicit squares and the running seeding minimum: the oracle."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -698,6 +698,14 @@ def test_untested_days_are_range_checked(bad_day):
     assert not out.passed and out.n_tested == 1
 
 
+@pytest.mark.parametrize("bad_day", [np.array(0.5), np.full((2, 2), 0.5)])
+def test_untested_days_must_be_one_dimensional(bad_day):
+    # the clustered first day settles the verdict, so day 1 is only checked
+    clustered = np.arange(0.001, 0.00951, 0.0005)
+    with pytest.raises(ValueError, match=r"^day 1: arrivals must be a 1-D array$"):
+        poisson_test_days([clustered, bad_day], 0.0, 1.0)
+
+
 def test_zero_days_pass_vacuously():
     out = poisson_test_days([], 0.0, 10.0)
     assert out.passed and (out.n_days, out.n_tested, out.n_passed) == (0, 0, 0)
