@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .binning import learn as learn_model
-from .core import CountTable, TimeWindow
-from .dataio import load_events, load_geo_events, load_model, save_events, save_model
+from .core import CountTable
+from .dataio import load_events, load_model, save_events, save_model
 from .experiments import (
     ExperimentConfig,
     make_synthetic_geo,
@@ -23,46 +24,78 @@ from .simulate import make_dataset
 from .stat_tests import poisson_test_days
 
 
-def _fail_on_value_error(fn):
-    """Surface domain validation errors as clean nonzero exits."""
+class _Main(click.Group):
+    """The command group; a bad setting or file ends a command with an error line, not a traceback."""
 
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
             raise click.ClickException(str(exc))
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
-
-def _load_cfg(config_path: str | None, defaults: ExperimentConfig, **overrides) -> ExperimentConfig:
-    cfg = defaults
-    if config_path:
-        cfg = ExperimentConfig.from_file(config_path, defaults=defaults)
-    return cfg.with_overrides(**overrides)
-
-
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Learn time-of-day rate profiles from event streams."""
 
 
+def _sweep_option(_, __, value):
+    if value is None:
+        return None
+    try:
+        return tuple(float(v) for v in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of numbers") from None
+
+
+# each flag that sets an ExperimentConfig field, keyed by that field, which is
+# also click's parameter name
+_CONFIG_FLAGS = {
+    field: click.option(flag, field, default=None, **attrs)
+    for field, flag, attrs in [
+        ("seed", "--seed", dict(type=int)),
+        ("n_train_days", "--days-train", dict(type=int)),
+        ("n_test_days", "--days-test", dict(type=int)),
+        ("sim_mode", "--mode", dict(type=click.Choice(["conditioned", "thinning"]))),
+        ("degree", "--degree", dict(type=int)),
+        ("gamma", "--gamma", dict(type=float)),
+        ("epsilon", "--epsilon", dict(type=float)),
+        ("resolution", "--resolution", dict(type=float)),
+        ("clusters", "--clusters", dict(type=int)),
+        ("eta_sweep_minutes", "--eta-sweep", dict(callback=_sweep_option, help="Comma-separated eta grid in minutes.")),
+        ("geo_path", "--input", dict(
+            type=click.Path(exists=True), help="Geo events CSV; omitted -> synthetic city data.",
+        )),
+        ("out_dir", "--out-dir", dict(type=click.Path())),
+    ]
+}
+
+
+def _configured(defaults, *fields):
+    """Add ``--config`` and the flags of ``fields``; the command takes the merged config first.
+
+    The config is ``defaults()``, then the config file, then the flags given.
+    """
+
+    def decorate(command):
+        @functools.wraps(command)
+        def callback(config_path, **params):
+            cfg = defaults() if config_path is None else ExperimentConfig.from_file(config_path, defaults())
+            return command(cfg.with_overrides(**{f: params.pop(f) for f in fields}), **params)
+
+        for field in reversed(fields):
+            callback = _CONFIG_FLAGS[field](callback)
+        return click.option(
+            "--config", "config_path", type=click.Path(exists=True), default=None, help="JSON config file."
+        )(callback)
+
+    return decorate
+
+
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON config file.")
-@click.option("--seed", type=int, default=None)
-@click.option("--days-train", type=int, default=None)
-@click.option("--days-test", type=int, default=None)
-@click.option("--mode", type=click.Choice(["conditioned", "thinning"]), default=None)
-@click.option("--out-dir", type=click.Path(), default=None)
-@_fail_on_value_error
-def simulate(config_path, seed, days_train, days_test, mode, out_dir):
+@_configured(ExperimentConfig, "seed", "n_train_days", "n_test_days", "sim_mode", "out_dir")
+def simulate(cfg):
     """Generate train/test event files from the built-in or configured rate."""
-    cfg = _load_cfg(
-        config_path, ExperimentConfig(),
-        seed=seed, n_train_days=days_train, n_test_days=days_test, sim_mode=mode, out_dir=out_dir,
-    )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, test = make_dataset(
@@ -82,7 +115,6 @@ def simulate(config_path, seed, days_train, days_test, mode, out_dir):
 @click.option("--mode", type=click.Choice(["per-day", "pooled"]), default="per-day", show_default=True)
 @click.option("--lo", type=float, default=None, help="Interval start (default: window start).")
 @click.option("--hi", type=float, default=None, help="Interval end (default: window end).")
-@_fail_on_value_error
 def test_poisson(input_path, epsilon, method, mode, lo, hi):
     """Test an event file for the homogeneous-Poisson property on an interval."""
     series = load_events(input_path)
@@ -100,31 +132,23 @@ def test_poisson(input_path, epsilon, method, mode, lo, hi):
 @main.command()
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True, help="Training events CSV.")
 @click.option("--test-input", type=click.Path(exists=True), default=None, help="Held-out events CSV.")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--method", default=None, help="ivanov | tikhonov | relaxed | equal:N")
-@click.option("--degree", type=int, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--epsilon", type=float, default=None)
 @click.option("--eta", "eta_minutes", type=float, default=None, help="2*eta is the smallest divisible interval (minutes).")
-@click.option("--resolution", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(), default=None)
-@_fail_on_value_error
-def learn(input_path, test_input, config_path, method, degree, gamma, epsilon, eta_minutes, resolution, seed, out_dir):
+@_configured(ExperimentConfig, "degree", "gamma", "epsilon", "resolution", "seed", "out_dir")
+def learn(cfg, input_path, test_input, method, eta_minutes):
     """Fit a piecewise rate model to an event file; writes model.json and report.json."""
-    cfg = _load_cfg(
-        config_path, ExperimentConfig(),
-        seed=seed, degree=degree, gamma=gamma, epsilon=epsilon, out_dir=out_dir, resolution=resolution,
-    )
     method = method or "ivanov"
+    # NaN fails every comparison, so a bare sign check would let it through
+    if eta_minutes is not None and not (math.isfinite(eta_minutes) and eta_minutes > 0):
+        raise ValueError(f"--eta must be a finite, positive number of minutes, got {eta_minutes!r}")
+    if method == "relaxed" and eta_minutes is None:
+        raise ValueError("--method relaxed needs --eta, the smallest divisible half-interval in minutes")
     series = load_events(input_path)
     table = CountTable.from_events(series, cfg.resolution)
     test_table = None
     if test_input:
         test_table = CountTable.from_events(load_events(test_input), cfg.resolution)
-    search = cfg.search_config(
-        eta_seconds=eta_minutes * 60.0 if eta_minutes is not None else None
-    )
+    search = cfg.search_config(eta_seconds=None if eta_minutes is None else eta_minutes * 60.0)
     report = learn_model(
         series, table, test_table, method=method,
         fit_config=cfg.fit_config(), config=search,
@@ -134,86 +158,39 @@ def learn(input_path, test_input, config_path, method, degree, gamma, epsilon, e
     save_model(report.model, out / "model.json")
     (out / "report.json").write_text(json.dumps(report.summary_dict(), indent=2) + "\n")
     test_part = f"  rmse_test={report.rmse_test:.6g}" if report.rmse_test is not None else ""
-    click.echo(
-        f"method={method}  bins={report.n_bins}  rmse_train={report.rmse_train:.6g}{test_part}"
-    )
+    click.echo(f"method={method}  bins={report.n_bins}  rmse_train={report.rmse_train:.6g}{test_part}")
     click.echo(f"wrote {out / 'model.json'} and {out / 'report.json'}")
 
 
-def _sweep_option(_, __, value):
-    if value is None:
-        return None
-    try:
-        return tuple(float(v) for v in value.split(","))
-    except ValueError:
-        raise click.BadParameter(f"{value!r} is not a comma-separated list of numbers") from None
-
-
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(), default=None)
-@click.option("--days-train", type=int, default=None)
-@click.option("--days-test", type=int, default=None)
-@click.option("--degree", type=int, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--eta-sweep", callback=_sweep_option, default=None, help="Comma-separated eta grid in minutes.")
-@_fail_on_value_error
-def exp1(config_path, seed, out_dir, days_train, days_test, degree, epsilon, eta_sweep):
+@_configured(
+    ExperimentConfig.exp1_defaults, "seed", "out_dir", "n_train_days", "n_test_days", "degree", "epsilon",
+    "eta_sweep_minutes",
+)
+def exp1(cfg):
     """Bin-budget sweep (train/test error versus bin count)."""
-    cfg = _load_cfg(
-        config_path, ExperimentConfig.exp1_defaults(),
-        seed=seed, out_dir=out_dir, n_train_days=days_train, n_test_days=days_test,
-        degree=degree, epsilon=epsilon, eta_sweep_minutes=eta_sweep,
-    )
-    path = run_experiment_1(cfg)
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {run_experiment_1(cfg)}")
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(), default=None)
-@click.option("--days-train", type=int, default=None)
-@click.option("--days-test", type=int, default=None)
-@click.option("--degree", type=int, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--epsilon", type=float, default=None)
-@_fail_on_value_error
-def exp2(config_path, seed, out_dir, days_train, days_test, degree, gamma, epsilon):
+@_configured(
+    ExperimentConfig.exp2_defaults, "seed", "out_dir", "n_train_days", "n_test_days", "degree", "gamma", "epsilon"
+)
+def exp2(cfg):
     """Adaptive binning versus unbinned and equal-length baselines."""
-    cfg = _load_cfg(
-        config_path, ExperimentConfig.exp2_defaults(),
-        seed=seed, out_dir=out_dir, n_train_days=days_train, n_test_days=days_test,
-        degree=degree, gamma=gamma, epsilon=epsilon,
-    )
-    path = run_experiment_2(cfg)
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {run_experiment_2(cfg)}")
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--input", "geo_path", type=click.Path(exists=True), default=None, help="Geo events CSV; omitted -> synthetic city data.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(), default=None)
-@click.option("--clusters", type=int, default=None)
-@click.option("--days-train", type=int, default=None)
-@click.option("--days-test", type=int, default=None)
-@_fail_on_value_error
-def exp3(config_path, geo_path, seed, out_dir, clusters, days_train, days_test):
+@_configured(ExperimentConfig.exp3_defaults, "geo_path", "seed", "out_dir", "clusters", "n_train_days", "n_test_days")
+def exp3(cfg):
     """Cluster locations into areas and learn one rate model per area."""
-    cfg = _load_cfg(
-        config_path, ExperimentConfig.exp3_defaults(),
-        seed=seed, out_dir=out_dir, clusters=clusters,
-        n_train_days=days_train, n_test_days=days_test, geo_path=geo_path,
-    )
     geo = None
     if cfg.geo_path is None:
         geo = make_synthetic_geo(
             seed=cfg.seed, n_days=cfg.n_train_days + cfg.n_test_days, k_centers=cfg.clusters
         )
-    path = run_experiment_3(cfg, geo=geo)
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {run_experiment_3(cfg, geo=geo)}")
 
 
 @main.command("eval")
@@ -223,7 +200,6 @@ def exp3(config_path, geo_path, seed, out_dir, clusters, days_train, days_test):
     "--resolution", type=float, default=None,
     help="Cell length in seconds [default: the model's, else 300].",
 )
-@_fail_on_value_error
 def eval_cmd(model_path, input_path, resolution):
     """Score a saved model against an event file (RMSE on cell counts)."""
     model = load_model(model_path)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -66,6 +67,15 @@ class ExperimentConfig:
             check_integer(name, getattr(self, name))
         if self.clusters < 1:
             raise ValueError(f"clusters must be at least 1, got {self.clusters!r}")
+        # a config file gives a list and the command line a tuple; keep one form
+        try:
+            object.__setattr__(self, "eta_sweep_minutes", tuple(self.eta_sweep_minutes))
+        except TypeError:
+            raise ValueError(f"eta_sweep_minutes must be a list of minutes, got {self.eta_sweep_minutes!r}") from None
+        for eta in self.eta_sweep_minutes:
+            # NaN fails every comparison, so a bare sign check would let it through
+            if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not (math.isfinite(eta) and eta > 0):
+                raise ValueError(f"eta_sweep_minutes must be finite and positive, got {eta!r}")
 
     @classmethod
     def exp1_defaults(cls, **overrides) -> "ExperimentConfig":
@@ -109,18 +119,13 @@ class ExperimentConfig:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "eta_sweep_minutes" in payload:
-            payload["eta_sweep_minutes"] = tuple(payload["eta_sweep_minutes"])
         try:
             return replace(base, **payload)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        if "eta_sweep_minutes" in clean:
-            clean["eta_sweep_minutes"] = tuple(clean["eta_sweep_minutes"])
-        return replace(self, **clean)
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
     def build_rate(self) -> PiecewiseLinearRate:
         if self.rate is None:
@@ -179,12 +184,20 @@ def _dataset(cfg: ExperimentConfig) -> tuple[EventSeries, EventSeries, CountTabl
     )
 
 
+def _require_days(cfg: ExperimentConfig) -> None:
+    """Refuse a run with no training or no test days before anything is simulated."""
+    for name in ("n_train_days", "n_test_days"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1 for this experiment, got {getattr(cfg, name)!r}")
+
+
 def run_experiment_1(cfg: ExperimentConfig) -> Path:
     """Bin-budget sweep: floor-bounded division across the eta grid.
 
     Emits one `eta,bins,rmse_train,rmse_test` row per eta (minutes), on one
     shared dataset per seed.
     """
+    _require_days(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, _, train_table, test_table = _dataset(cfg)
@@ -209,6 +222,7 @@ def run_experiment_2(cfg: ExperimentConfig) -> Path:
     Adaptive methods are paired with the equal-length baseline at the same
     bin count; the improvement column is (test_eq - test) * 100 / test_eq.
     """
+    _require_days(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train, _, train_table, test_table = _dataset(cfg)

@@ -284,7 +284,8 @@ def poisson_test_days(
     """Test one interval across repeated days.
 
     ``per-day`` tests days in order and passes when the fraction of passing
-    days reaches ``min_pass_fraction`` (default 1 - 2 * epsilon); it stops
+    days reaches ``min_pass_fraction`` (default 1 - 2 * epsilon, so epsilon
+    must then be below 0.5, as ``SearchConfig`` requires); it stops
     at the first day that settles the verdict; a day after it is not tested,
     but its first and last arrivals are checked, which bounds a sorted day
     (``EventSeries`` keeps days sorted).  ``pooled`` merges all days first.
@@ -292,6 +293,9 @@ def poisson_test_days(
     check_test_settings(method, mode, min_pass_fraction)
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
+    if mode == "per-day" and min_pass_fraction is None and epsilon >= 0.5:
+        # the default bar 1 - 2 * epsilon is then <= 0: it would pass with no day tested
+        raise ValueError(f"epsilon must be in (0, 0.5) in per-day mode without min_pass_fraction, got {epsilon!r}")
     _check_interval(lo, hi)
     n_days = len(day_arrivals)
     log = method == "log"

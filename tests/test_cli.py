@@ -6,10 +6,12 @@ import json
 import math
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nhpplearn import experiments
 from nhpplearn.cli import main
 from nhpplearn import load_events, load_model, poisson_test_days
 
@@ -253,16 +255,25 @@ def test_learn_relaxed_requires_eta(runner, tmp_path):
     result = runner.invoke(main, ["learn", "--input", str(good), "--method", "relaxed"])
     assert result.exit_code != 0
     assert "eta" in result.output.lower()
+    # named as the flag, in minutes, and before the events are read
+    bad = tmp_path / "bad.csv"
+    bad.write_text("wrong,header\n1,2\n")
+    result = runner.invoke(main, ["learn", "--input", str(bad), "--method", "relaxed"])
+    assert result.exit_code == 1
+    assert "Error: --method relaxed needs --eta, the smallest divisible half-interval in minutes" in result.output
 
 
 @pytest.mark.parametrize("args, message", [
     (["--method", "tikhonov", "--gamma", "nan"], "gamma must be finite and nonnegative, got nan"),
     (["--method", "tikhonov", "--gamma", "inf"], "gamma must be finite and nonnegative, got inf"),
-    (["--method", "relaxed", "--eta", "nan"], "eta_seconds must be finite and positive, got nan"),
+    (["--method", "relaxed", "--eta", "nan"], "--eta must be a finite, positive number of minutes, got nan"),
     (["--resolution", "0"], "resolution must be positive and finite, got 0.0"),
     (["--resolution", "-5"], "resolution must be positive and finite, got -5.0"),
     (["--resolution", "nan"], "resolution must be positive and finite, got nan"),
     (["--resolution", "1e-9"], "resolution 1e-09 cuts the 86400 s window into 8.64e+13 cells"),
+    (["--method", "relaxed", "--eta", "0"], "--eta must be a finite, positive number of minutes, got 0.0"),
+    (["--method", "ivanov", "--eta", "-5"], "--eta must be a finite, positive number of minutes, got -5.0"),
+    (["--method", "relaxed", "--eta", "inf"], "--eta must be a finite, positive number of minutes, got inf"),
 ])
 def test_learn_rejects_non_finite_and_non_positive_settings(runner, tmp_path, args, message):
     good = tmp_path / "ok.csv"
@@ -371,3 +382,179 @@ def test_exp1_rejects_an_eta_sweep_that_is_not_numbers(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "Invalid value for '--eta-sweep': 'a,b' is not a comma-separated list of numbers" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated before the settings were checked")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["exp1", "--days-train", "0", "--days-test", "1"], "n_train_days must be at least 1 for this experiment, got 0"),
+    (["exp1", "--days-train", "1", "--days-test", "0"], "n_test_days must be at least 1 for this experiment, got 0"),
+    (["exp2", "--days-train", "0", "--days-test", "1"], "n_train_days must be at least 1 for this experiment, got 0"),
+    (["exp2", "--days-train", "2", "--days-test", "0"], "n_test_days must be at least 1 for this experiment, got 0"),
+])
+def test_exp1_and_exp2_refuse_zero_days_before_simulating(runner, tmp_path, monkeypatch, args, message):
+    # exp2 with no training days used to simulate and then stop at "count table has no observed days"
+    monkeypatch.setattr(experiments, "make_dataset", _no_simulation)
+    result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "out" / f"{args[0]}.csv").exists()
+
+
+def test_exp3_still_runs_without_test_days(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "count_lo": 150, "count_hi": 200, "max_depth": 3, "max_bins": 3, "max_restarts": 1, "max_retries": 1,
+    }))
+    run_ok(runner, [
+        "exp3", "--out-dir", str(tmp_path / "out"), "--clusters", "2", "--days-train", "2", "--days-test", "0",
+        "--config", str(cfg),
+    ])
+    assert (tmp_path / "out" / "exp3_summary.csv").exists()
+
+
+@pytest.mark.parametrize("sweep, shown", [("600,nan", "nan"), ("0", "0.0"), ("600,-10", "-10.0"), ("inf", "inf")])
+def test_exp1_refuses_an_eta_sweep_that_is_not_positive_before_simulating(
+    runner, tmp_path, monkeypatch, sweep, shown
+):
+    # 600,nan used to run the whole 600-minute search and then fail on eta_seconds
+    monkeypatch.setattr(experiments, "make_dataset", _no_simulation)
+    result = runner.invoke(main, ["exp1", "--out-dir", str(tmp_path / "out"), "--eta-sweep", sweep])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: eta_sweep_minutes must be finite and positive, got {shown}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["0.5", "0.7"])
+def test_test_poisson_refuses_a_per_day_epsilon_without_a_bar(runner, tmp_path, epsilon):
+    # the default bar 1 - 2 * epsilon is <= 0 there: every file passed with no day tested
+    simulate_small(runner, tmp_path)
+    train = str(tmp_path / "train.csv")
+    result = runner.invoke(main, ["test-poisson", "--input", train, "--epsilon", epsilon])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert (
+        f"Error: epsilon must be in (0, 0.5) in per-day mode without min_pass_fraction, got {float(epsilon)!r}"
+        in result.output
+    )
+    # pooled mode tests the merged days and keeps (0, 1)
+    result = run_ok(runner, ["test-poisson", "--input", train, "--epsilon", epsilon, "--mode", "pooled"])
+    assert "tested_days=3" in result.output
+    assert "verdict: FAIL" in result.output  # the built-in rate is far from constant over the day
+
+
+def _describe_type(param_type):
+    if isinstance(param_type, click.Choice):
+        return ("choice", tuple(param_type.choices))
+    if isinstance(param_type, click.Path):
+        return ("path", param_type.exists)
+    return param_type.name
+
+
+def _surface(params):
+    """(flags, name, type, default, required, help, show_default) of each parameter."""
+    rows = []
+    for p in params:
+        # click 8.3+ gives a required option a sentinel default; it is never used
+        default = None if p.required else p.default
+        rows.append((tuple(p.opts + p.secondary_opts), p.name, _describe_type(p.type), default, p.required,
+                     p.help, p.show_default))
+    return rows
+
+
+# Every command's help line and parameters as the commands declared them one by
+# one, before the config-backed flags moved into one table.  Frozen: a change
+# here adds, drops or changes a flag.
+FLAG_SURFACE = {
+    "simulate": ("Generate train/test event files from the built-in or configured rate.", [
+        (("--config",), "config_path", ("path", True), None, False, "JSON config file.", None),
+        (("--seed",), "seed", "integer", None, False, None, None),
+        (("--days-train",), "days_train", "integer", None, False, None, None),
+        (("--days-test",), "days_test", "integer", None, False, None, None),
+        (("--mode",), "mode", ("choice", ("conditioned", "thinning")), None, False, None, None),
+        (("--out-dir",), "out_dir", ("path", False), None, False, None, None),
+    ]),
+    "test-poisson": ("Test an event file for the homogeneous-Poisson property on an interval.", [
+        (("--input",), "input_path", ("path", True), None, True, None, None),
+        (("--epsilon",), "epsilon", "float", 0.05, False, None, True),
+        (("--method",), "method", ("choice", ("log", "ks-uniform")), "log", False, None, True),
+        (("--mode",), "mode", ("choice", ("per-day", "pooled")), "per-day", False, None, True),
+        (("--lo",), "lo", "float", None, False, "Interval start (default: window start).", None),
+        (("--hi",), "hi", "float", None, False, "Interval end (default: window end).", None),
+    ]),
+    "learn": ("Fit a piecewise rate model to an event file; writes model.json and report.json.", [
+        (("--input",), "input_path", ("path", True), None, True, "Training events CSV.", None),
+        (("--test-input",), "test_input", ("path", True), None, False, "Held-out events CSV.", None),
+        (("--config",), "config_path", ("path", True), None, False, None, None),
+        (("--method",), "method", "text", None, False, "ivanov | tikhonov | relaxed | equal:N", None),
+        (("--degree",), "degree", "integer", None, False, None, None),
+        (("--gamma",), "gamma", "float", None, False, None, None),
+        (("--epsilon",), "epsilon", "float", None, False, None, None),
+        (("--eta",), "eta_minutes", "float", None, False, "2*eta is the smallest divisible interval (minutes).", None),
+        (("--resolution",), "resolution", "float", None, False, None, None),
+        (("--seed",), "seed", "integer", None, False, None, None),
+        (("--out-dir",), "out_dir", ("path", False), None, False, None, None),
+    ]),
+    "exp1": ("Bin-budget sweep (train/test error versus bin count).", [
+        (("--config",), "config_path", ("path", True), None, False, None, None),
+        (("--seed",), "seed", "integer", None, False, None, None),
+        (("--out-dir",), "out_dir", ("path", False), None, False, None, None),
+        (("--days-train",), "days_train", "integer", None, False, None, None),
+        (("--days-test",), "days_test", "integer", None, False, None, None),
+        (("--degree",), "degree", "integer", None, False, None, None),
+        (("--epsilon",), "epsilon", "float", None, False, None, None),
+        (("--eta-sweep",), "eta_sweep", "text", None, False, "Comma-separated eta grid in minutes.", None),
+    ]),
+    "exp2": ("Adaptive binning versus unbinned and equal-length baselines.", [
+        (("--config",), "config_path", ("path", True), None, False, None, None),
+        (("--seed",), "seed", "integer", None, False, None, None),
+        (("--out-dir",), "out_dir", ("path", False), None, False, None, None),
+        (("--days-train",), "days_train", "integer", None, False, None, None),
+        (("--days-test",), "days_test", "integer", None, False, None, None),
+        (("--degree",), "degree", "integer", None, False, None, None),
+        (("--gamma",), "gamma", "float", None, False, None, None),
+        (("--epsilon",), "epsilon", "float", None, False, None, None),
+    ]),
+    "exp3": ("Cluster locations into areas and learn one rate model per area.", [
+        (("--config",), "config_path", ("path", True), None, False, None, None),
+        (("--input",), "geo_path", ("path", True), None, False, "Geo events CSV; omitted -> synthetic city data.", None),
+        (("--seed",), "seed", "integer", None, False, None, None),
+        (("--out-dir",), "out_dir", ("path", False), None, False, None, None),
+        (("--clusters",), "clusters", "integer", None, False, None, None),
+        (("--days-train",), "days_train", "integer", None, False, None, None),
+        (("--days-test",), "days_test", "integer", None, False, None, None),
+    ]),
+    "eval": ("Score a saved model against an event file (RMSE on cell counts).", [
+        (("--model",), "model_path", ("path", True), None, True, None, None),
+        (("--input",), "input_path", ("path", True), None, True, None, None),
+        (("--resolution",), "resolution", "float", None, False,
+         "Cell length in seconds [default: the model's, else 300].", None),
+    ]),
+}
+
+# click's parameter name of a config-backed flag is now the field it sets;
+# the name is internal, the flag the user types is unchanged
+RENAMED = {"days_train": "n_train_days", "days_test": "n_test_days", "eta_sweep": "eta_sweep_minutes"}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_SURFACE))
+def test_flag_surface_is_unchanged(command):
+    assert sorted(main.commands) == sorted(FLAG_SURFACE)
+    help_line, frozen = FLAG_SURFACE[command]
+    renamed = {**RENAMED, "mode": "sim_mode"} if command == "simulate" else RENAMED
+
+    def allowed(rows, rename):
+        # options may change order, and --config may gain its help text
+        out = []
+        for flags, name, *rest in rows:
+            if flags == ("--config",) and rest[3] is None:
+                rest[3] = "JSON config file."
+            out.append((flags, rename.get(name, name), *rest))
+        return sorted(out, key=repr)
+
+    assert main.commands[command].help == help_line
+    assert allowed(_surface(main.commands[command].params), {}) == allowed(frozen, renamed)

@@ -7,6 +7,7 @@ protocols live in the acceptance suite.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -102,6 +103,26 @@ def test_config_refuses_settings_that_are_not_integers(tmp_path, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {name} must be an integer, got 2.5$"):
         ExperimentConfig.from_file(path)
     assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
+
+
+def test_config_keeps_the_eta_sweep_as_a_tuple(tmp_path):
+    assert ExperimentConfig(eta_sweep_minutes=[600.0, 10.0]).eta_sweep_minutes == (600.0, 10.0)
+    assert ExperimentConfig().with_overrides(eta_sweep_minutes=[30.0]).eta_sweep_minutes == (30.0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -5.0, 0, "10", True, None])
+def test_config_refuses_an_eta_sweep_that_is_not_positive_minutes(tmp_path, bad):
+    # a NaN or zero eta used to fail only when the sweep reached it, after the simulation
+    message = f"eta_sweep_minutes must be finite and positive, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(eta_sweep_minutes=(600.0, bad))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eta_sweep_minutes": [600, bad]}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: eta_sweep_minutes must be finite and positive"):
+        ExperimentConfig.from_file(path)
+    path.write_text(json.dumps({"eta_sweep_minutes": 600}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: eta_sweep_minutes must be a list of minutes, got 600$"):
+        ExperimentConfig.from_file(path)
 
 
 def test_config_with_overrides_skips_none():

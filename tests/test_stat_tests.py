@@ -558,6 +558,21 @@ def test_min_pass_fraction_override():
     assert lax.required_fraction == 0.0
 
 
+@pytest.mark.parametrize("epsilon", [0.5, 0.7])
+def test_per_day_mode_refuses_an_epsilon_whose_default_bar_is_not_positive(epsilon):
+    # a bar of 1 - 2 * epsilon <= 0 passed clearly inhomogeneous days with none tested
+    rng = np.random.default_rng(37)
+    days = [np.sort(50.0 * np.sqrt(rng.uniform(size=150))) for _ in range(10)]
+    message = f"epsilon must be in (0, 0.5) in per-day mode without min_pass_fraction, got {epsilon!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        poisson_test_days(days, 0.0, 50.0, epsilon)
+    # an explicit bar decides, and pooled mode keeps (0, 1)
+    assert not poisson_test_days(days, 0.0, 50.0, epsilon, min_pass_fraction=0.9).passed
+    pooled = poisson_test_days(days, 0.0, 50.0, epsilon, mode="pooled")
+    assert not pooled.passed
+    assert pooled.n_tested == 10
+
+
 def test_pooled_mode_equals_single_merged_test():
     rng = np.random.default_rng(41)
     days = _random_days(rng, 4, 0.0, 20.0, 15)
@@ -595,9 +610,13 @@ def test_poisson_test_days_equals_oracle_loop(data, n_days, method, epsilon):
     min_pass_fraction = data.draw(pass_fractions(n_days))
     oracle = ORACLES[method][1]
 
-    out = poisson_test_days(days, lo, hi, epsilon, method, "per-day", min_pass_fraction)
-    threshold = 1.0 - 2.0 * epsilon if min_pass_fraction is None else min_pass_fraction
-    assert_decides_like_loop(out, [oracle(d, lo, hi, epsilon).passed for d in days], threshold)
+    if min_pass_fraction is None and epsilon >= 0.5:
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.5\) in per-day mode"):
+            poisson_test_days(days, lo, hi, epsilon, method, "per-day")
+    else:
+        out = poisson_test_days(days, lo, hi, epsilon, method, "per-day", min_pass_fraction)
+        threshold = 1.0 - 2.0 * epsilon if min_pass_fraction is None else min_pass_fraction
+        assert_decides_like_loop(out, [oracle(d, lo, hi, epsilon).passed for d in days], threshold)
 
     pooled = poisson_test_days(days, lo, hi, epsilon, method, "pooled")
     merged = oracle(np.concatenate(days) if days else [], lo, hi, epsilon)
@@ -621,6 +640,10 @@ def test_per_day_mode_stops_once_the_verdict_is_settled(data, verdicts, method, 
     oracle = ORACLES[method][1]
     assert [oracle(d, 0.0, 1.0, epsilon).passed for d in days] == verdicts
 
+    if min_pass_fraction is None and epsilon >= 0.5:
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.5\) in per-day mode"):
+            poisson_test_days(days, 0.0, 1.0, epsilon, method, "per-day")
+        return
     out = poisson_test_days(days, 0.0, 1.0, epsilon, method, "per-day", min_pass_fraction)
     threshold = 1.0 - 2.0 * epsilon if min_pass_fraction is None else min_pass_fraction
     assert_decides_like_loop(out, verdicts, threshold)
