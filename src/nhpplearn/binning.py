@@ -456,12 +456,11 @@ def learn(
         rmse_train=evaluate(model, train_counts),
         rmse_test=evaluate(model, test_counts) if test_counts is not None else None,
         seed=config.seed,
-        penalized_risk=(
-            penalized_risk(sizes, risks, model.partition, config.gamma) if config.gamma is not None else None
-        ),
-        gamma=config.gamma,
-        epsilon=config.epsilon,
-        eta_seconds=config.eta_seconds,
+        # each setting is reported only where the method applies it
+        penalized_risk=penalized_risk(sizes, risks, model.partition, config.gamma) if kind == "tikhonov" else None,
+        gamma=config.gamma if kind == "tikhonov" else None,
+        epsilon=config.epsilon if kind == "ivanov" else None,
+        eta_seconds=config.eta_seconds if kind == "relaxed" else None,
     )
     if config.trace_path:
         _write_trace(config.trace_path, traces)

@@ -96,6 +96,8 @@ def _configured(defaults, *fields):
 @_configured(ExperimentConfig, "seed", "n_train_days", "n_test_days", "sim_mode", "out_dir")
 def simulate(cfg):
     """Generate train/test event files from the built-in or configured rate."""
+    if cfg.n_train_days < 1:  # a training file with no rows is one learn cannot read
+        raise ValueError(f"n_train_days must be at least 1, got {cfg.n_train_days!r}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, test = make_dataset(

@@ -19,6 +19,12 @@ no rows or fails a check.  It is kept for three reasons:
   digits, day ids beyond int64), so no file changes fate;
 * it is the oracle the bulk path is tested against.
 
+``load_events`` then groups the rows by day without ``np.unique``.  A file
+whose day ids never decrease, as ``save_events`` writes them, is split where
+the id changes, so the parsed columns are not copied; any other file is put
+in day order by one stable ``argsort`` first.  Either way each day reaches
+``np.sort`` in file order.
+
 Writers produce ``csv.writer``'s bytes (``\\r\\n`` line ends; no field ever
 needs quoting), one joined string per day instead of one call per row.
 """
@@ -166,12 +172,13 @@ def load_events(path: str | Path, window: TimeWindow | None = None) -> EventSeri
     """Read a ``day,seconds`` CSV into per-day sorted arrival arrays."""
     window = window or TimeWindow(0.0, 86400.0)
     day, (seconds,) = _read_events(path, EVENT_HEADER, window)
-    # stable, so each day reaches np.sort in file order and ties of -0.0 and
-    # 0.0 come out as sorting that day's rows in file order puts them
-    _, dense = np.unique(day, return_inverse=True)
-    grouped = seconds[np.argsort(dense, kind="stable")]
-    bounds = np.cumsum(np.bincount(dense))[:-1]
-    return EventSeries(window=window, days=tuple(np.sort(part) for part in np.split(grouped, bounds)))
+    # the sort is stable, so each day reaches np.sort in file order and ties
+    # of -0.0 and 0.0 come out as sorting that day's rows in file order puts them
+    if not np.all(day[1:] >= day[:-1]):
+        order = np.argsort(day, kind="stable")
+        day, seconds = day[order], seconds[order]
+    bounds = np.flatnonzero(day[1:] != day[:-1]) + 1
+    return EventSeries(window=window, days=tuple(np.sort(part) for part in np.split(seconds, bounds)))
 
 
 def save_events(series: EventSeries, path: str | Path) -> None:

@@ -296,9 +296,11 @@ def make_synthetic_geo(
 
 
 def run_experiment_3(cfg: ExperimentConfig, geo: GeoEventSeries | None = None) -> Path:
-    """Clustered per-area learning: K areas, one model file per area, plus an index."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Clustered per-area learning: K areas, one model file per area, plus an index.
+
+    The last ``n_test_days`` days are held out; data with no more days than
+    that is refused before anything is clustered or written.
+    """
     if geo is None:
         if cfg.geo_path is None:
             raise ValueError("experiment 3 needs a geo event file (geo_path) or an in-memory dataset")
@@ -306,10 +308,14 @@ def run_experiment_3(cfg: ExperimentConfig, geo: GeoEventSeries | None = None) -
 
         geo = load_geo_events(cfg.geo_path)
     all_days = geo.day_ids()
-    if cfg.n_test_days > 0 and all_days.size > cfg.n_test_days:
-        train_ids, test_ids = all_days[: -cfg.n_test_days], all_days[-cfg.n_test_days :]
-    else:
-        train_ids, test_ids = all_days, np.asarray([], dtype=int)
+    n_train = all_days.size - cfg.n_test_days
+    if cfg.n_test_days > 0 and n_train < 1:
+        raise ValueError(
+            f"n_test_days={cfg.n_test_days} leaves none of the data's days to train on (it has {all_days.size})"
+        )
+    train_ids, test_ids = all_days[:n_train], all_days[n_train:]
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     fit = learn_per_area(
         geo,
         cfg.clusters,

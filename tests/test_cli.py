@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nhpplearn import experiments
+from nhpplearn import cli, experiments
 from nhpplearn.cli import main
 from nhpplearn import load_events, load_model, poisson_test_days
 
@@ -151,6 +151,24 @@ def test_learn_adaptive_method_runs(runner, tmp_path):
         "method", "knots", "n_bins", "bin_sizes", "binned_risk", "penalized_risk",
         "rmse_train", "rmse_test", "seed", "gamma", "epsilon", "eta_seconds",
     ]
+
+
+@pytest.mark.parametrize("method, applied", [
+    ("ivanov", {"epsilon"}),
+    ("tikhonov", {"gamma", "penalized_risk"}),
+    ("relaxed", {"eta_seconds"}),
+    ("equal:4", set()),
+])
+def test_report_gives_null_for_each_setting_that_did_not_apply(runner, tmp_path, method, applied):
+    # ivanov used to report the gamma, eta and penalized risk it never used
+    simulate_small(runner, tmp_path)
+    run_ok(runner, [
+        "learn", "--input", str(tmp_path / "train.csv"), "--method", method, "--degree", "1",
+        "--gamma", "0.5", "--eta", "120", "--epsilon", "0.05", "--out-dir", str(tmp_path / "fit"),
+    ])
+    report = json.loads((tmp_path / "fit" / "report.json").read_text())
+    settings = ("gamma", "penalized_risk", "epsilon", "eta_seconds")
+    assert {k for k in settings if report[k] is not None} == applied
 
 
 def test_test_poisson_verdicts(runner, tmp_path):
@@ -414,6 +432,32 @@ def test_exp3_still_runs_without_test_days(runner, tmp_path):
         "--config", str(cfg),
     ])
     assert (tmp_path / "out" / "exp3_summary.csv").exists()
+
+
+def test_simulate_refuses_zero_training_days_before_simulating(runner, tmp_path, monkeypatch):
+    # it used to write a header-only train.csv, which learn then refused
+    monkeypatch.setattr(cli, "make_dataset", _no_simulation)
+    result = runner.invoke(main, ["simulate", "--days-train", "0", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert "Error: n_train_days must be at least 1, got 0" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def _no_clustering(*args, **kwargs):
+    raise AssertionError("clustered before the days were checked")
+
+
+def test_exp3_refuses_to_train_on_its_held_out_days(runner, tmp_path, monkeypatch):
+    # it used to train on the one day it held out and write an empty rmse_test column
+    monkeypatch.setattr(experiments, "learn_per_area", _no_clustering)
+    result = runner.invoke(main, [
+        "exp3", "--days-train", "0", "--days-test", "1", "--clusters", "2", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: n_test_days=1 leaves none of the data's days to train on (it has 1)" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("sweep, shown", [("600,nan", "nan"), ("0", "0.0"), ("600,-10", "-10.0"), ("inf", "inf")])

@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nhpplearn import (
@@ -164,6 +165,24 @@ def test_plain_files_skip_the_row_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "_parse_event_rows", refuse)
     assert load_events(path).total_events == 9000
     assert load_geo_events(geo).day.size == 2
+
+
+def test_load_events_peak_memory_is_bounded_per_row(tmp_path):
+    # the parsed day and seconds columns take 16 bytes a row and the day
+    # arrays 8; grouping a file whose days are in order copies neither column
+    rng = np.random.default_rng(2)
+    series = EventSeries(W, tuple(np.sort(rng.uniform(0.0, 86400.0, size=5000)) for _ in range(8)))
+    path = tmp_path / "events.csv"
+    save_events(series, path)
+    load_events(path)  # numpy's first-call set-up is not the loader's
+    tracemalloc.start()
+    try:
+        back = load_events(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.total_events == 40_000
+    assert peak / back.total_events < 32
 
 
 # --- bulk parse against the row parser --------------------------------------------
@@ -324,6 +343,11 @@ def assert_same_outcome(got, want):
 
 
 @given(case=event_csv())
+# days in order, as save_events writes them; in reverse; and interleaved, with
+# -0.0 and 0.0 tied within a day
+@example(case=("day,seconds\n0,5.0\n0,1.0\n1,3.0\n2,2.0\n2,0.5\n", W))
+@example(case=("day,seconds\n2,5.0\n2,1.0\n1,3.0\n0,2.0\n0,0.5\n", W))
+@example(case=("day,seconds\n1,0.0\n0,-0.0\n1,-0.0\n0,0.0\n1,7.5\n0,-0.0\n", W))
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_load_events_equals_row_parser(tmp_path, case):
     text, window = case
