@@ -98,12 +98,12 @@ def simulate(cfg):
     """Generate train/test event files from the built-in or configured rate."""
     if cfg.n_train_days < 1:  # a training file with no rows is one learn cannot read
         raise ValueError(f"n_train_days must be at least 1, got {cfg.n_train_days!r}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train, test = make_dataset(
         cfg.build_rate(), cfg.n_train_days, cfg.n_test_days,
         seed=cfg.seed, mode=cfg.sim_mode, count_range=(cfg.count_lo, cfg.count_hi),
     )
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_events(train, out / "train.csv")
     save_events(test, out / "test.csv")
     click.echo(f"wrote {out / 'train.csv'} ({train.total_events} events, {train.n_days} days)")
@@ -120,8 +120,14 @@ def simulate(cfg):
 def test_poisson(input_path, epsilon, method, mode, lo, hi):
     """Test an event file for the homogeneous-Poisson property on an interval."""
     series = load_events(input_path)
-    lo = series.window.start if lo is None else lo
-    hi = series.window.end if hi is None else hi
+    window = series.window
+    # the file holds no arrival outside its window, so such an interval would pass untested
+    if lo is not None and lo < window.start:
+        raise ValueError(f"--lo {lo:g} is below the start of the window [{window.start:g}, {window.end:g})")
+    if hi is not None and hi > window.end:
+        raise ValueError(f"--hi {hi:g} is above the end of the window [{window.start:g}, {window.end:g})")
+    lo = window.start if lo is None else lo
+    hi = window.end if hi is None else hi
     slices = [arr[arr.searchsorted(lo) : arr.searchsorted(hi)] for arr in series.days]
     outcome = poisson_test_days(slices, lo, hi, epsilon, method, mode)
     click.echo(

@@ -250,8 +250,9 @@ def make_dataset(
     the same seed reproduces the dataset bit for bit and adding test days
     never perturbs the training days.
     """
-    if n_train_days < 0 or n_test_days < 0:
-        raise ValueError("day counts must be nonnegative")
+    for name, n_days in (("n_train_days", n_train_days), ("n_test_days", n_test_days)):
+        if n_days < 0:
+            raise ValueError(f"{name} must be nonnegative, got {n_days!r}")
     if mode not in ("conditioned", "thinning"):
         raise ValueError(f"unknown simulation mode '{mode}'")
     window = rate.window()

@@ -444,6 +444,35 @@ def test_simulate_refuses_zero_training_days_before_simulating(runner, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_names_a_negative_test_day_count(runner, tmp_path):
+    result = runner.invoke(main, ["simulate", "--days-test", "-1", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: n_test_days must be nonnegative, got -1" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--lo", "90000", "--hi", "95000"], "--hi 95000 is above the end of the window [0, 86400)"),
+    (["--hi", "86400.5"], "--hi 86400.5 is above the end of the window [0, 86400)"),
+    (["--lo", "-1", "--hi", "3600"], "--lo -1 is below the start of the window [0, 86400)"),
+])
+def test_test_poisson_refuses_an_interval_outside_the_window(runner, tmp_path, bounds, message):
+    # the file holds no arrival there, so the interval used to pass with no day tested
+    simulate_small(runner, tmp_path)
+    result = runner.invoke(main, ["test-poisson", "--input", str(tmp_path / "train.csv"), *bounds])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+
+
+def test_test_poisson_takes_the_whole_window_by_its_bounds(runner, tmp_path):
+    simulate_small(runner, tmp_path)
+    train = str(tmp_path / "train.csv")
+    default = run_ok(runner, ["test-poisson", "--input", train]).output
+    assert run_ok(runner, ["test-poisson", "--input", train, "--lo", "0", "--hi", "86400"]).output == default
+
+
 def _no_clustering(*args, **kwargs):
     raise AssertionError("clustered before the days were checked")
 

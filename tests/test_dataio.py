@@ -117,19 +117,31 @@ def test_events_day_ids_mapped_in_sorted_order(tmp_path):
     np.testing.assert_array_equal(series.days[1], [30.0, 50.0])
 
 
+# tiny blocks cut files between every few lines, or at every line end
+BLOCK_SIZES = [1, 7, 64, dataio._BLOCK_BYTES]
+
+
 @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
 @pytest.mark.parametrize("extra", [b"", b" \t"], ids=["bulk", "rows"])
-def test_events_not_utf8_named_with_line(tmp_path, eol, extra):
+def test_events_not_utf8_named_with_line(tmp_path, monkeypatch, eol, extra):
     # a whitespace-only line sends the file to the row parser; the line
-    # named is the same either way
+    # named is the same either way, and the same at every block size
     path = tmp_path / "bad.csv"
-    path.write_bytes(eol.join([b"day,seconds", b"0,10.0", extra, b"0,2\xe9.0", b""]))
-    with pytest.raises(ValueError, match=rf"{path}: line 4: not UTF-8 text \(byte 0xe9"):
-        load_events(path)
+    # a row error on line 2 does not hide a UTF-8 error in a later block
+    late = tmp_path / "late.csv"
+    late.write_bytes(eol.join([b"day,seconds", b"0,abc", extra, b"0,1.0", b"0,2\xe9.0", b""]))
     geo = tmp_path / "bad_geo.csv"
     geo.write_bytes(eol.join([b"day,seconds,lon,lat", b"0,1.0,\xff,2.0", b""]))
-    with pytest.raises(ValueError, match=rf"{geo}: line 2: not UTF-8 text"):
-        load_geo_events(geo)
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
+        path.write_bytes(eol.join([b"day,seconds", b"0,10.0", extra, b"0,2\xe9.0", b""]))
+        at = path.read_bytes().index(0xE9)
+        with pytest.raises(ValueError, match=rf"{path}: line 4: not UTF-8 text \(byte 0xe9 at offset {at}\)"):
+            load_events(path)
+        with pytest.raises(ValueError, match=rf"{late}: line 5: not UTF-8 text \(byte 0xe9"):
+            load_events(late)
+        with pytest.raises(ValueError, match=rf"{geo}: line 2: not UTF-8 text"):
+            load_geo_events(geo)
 
 
 @pytest.mark.parametrize("body, want", [
@@ -155,7 +167,7 @@ def test_plain_files_skip_the_row_parser(tmp_path, monkeypatch):
     series = EventSeries(W, tuple(rng.uniform(0.0, 86400.0, size=n) for n in (4000, 0, 5000)))
     path = tmp_path / "events.csv"
     save_events(series, path)
-    assert path.stat().st_size > csv.field_size_limit()  # past the cheap size check
+    assert path.stat().st_size > csv.field_size_limit()  # many blocks, and over the field limit in all
     geo = tmp_path / "geo.csv"
     save_geo_events(GeoEventSeries(day=[0, 1], seconds=[1.0, 2.0], lon=[0.0, 1.0], lat=[2.0, 3.0]), geo)
 
@@ -165,6 +177,10 @@ def test_plain_files_skip_the_row_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "_parse_event_rows", refuse)
     assert load_events(path).total_events == 9000
     assert load_geo_events(geo).day.size == 2
+    # blocks of only the header or only blank lines are skipped, not sent to the row parser
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 7)
+    path.write_text("day,seconds\n0,1.0\n" + "\n" * 20 + "0,2.0\n")
+    assert load_events(path).total_events == 2
 
 
 def test_load_events_peak_memory_is_bounded_per_row(tmp_path):
@@ -183,6 +199,25 @@ def test_load_events_peak_memory_is_bounded_per_row(tmp_path):
         tracemalloc.stop()
     assert back.total_events == 40_000
     assert peak / back.total_events < 32
+
+
+@pytest.mark.parametrize("n_days", [8, 40])
+def test_load_events_holds_one_column_and_a_block(tmp_path, n_days):
+    # the file is read a block at a time and only the seconds column is kept,
+    # so past the 8 bytes a row of the day arrays the peak does not grow with the file
+    rng = np.random.default_rng(3)
+    series = EventSeries(W, tuple(np.sort(rng.uniform(0.0, 86400.0, size=5000)) for _ in range(n_days)))
+    path = tmp_path / "events.csv"
+    save_events(series, path)
+    load_events(path)
+    tracemalloc.start()
+    try:
+        back = load_events(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.total_events == 5000 * n_days
+    assert peak - 8 * back.total_events < 2**20
 
 
 # --- bulk parse against the row parser --------------------------------------------
@@ -342,23 +377,31 @@ def assert_same_outcome(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@given(case=event_csv())
+@given(case=event_csv(), block=st.sampled_from(BLOCK_SIZES))
 # days in order, as save_events writes them; in reverse; and interleaved, with
 # -0.0 and 0.0 tied within a day
-@example(case=("day,seconds\n0,5.0\n0,1.0\n1,3.0\n2,2.0\n2,0.5\n", W))
-@example(case=("day,seconds\n2,5.0\n2,1.0\n1,3.0\n0,2.0\n0,0.5\n", W))
-@example(case=("day,seconds\n1,0.0\n0,-0.0\n1,-0.0\n0,0.0\n1,7.5\n0,-0.0\n", W))
+@example(case=("day,seconds\n0,5.0\n0,1.0\n1,3.0\n2,2.0\n2,0.5\n", W), block=dataio._BLOCK_BYTES)
+@example(case=("day,seconds\n2,5.0\n2,1.0\n1,3.0\n0,2.0\n0,0.5\n", W), block=dataio._BLOCK_BYTES)
+@example(case=("day,seconds\n1,0.0\n0,-0.0\n1,-0.0\n0,0.0\n1,7.5\n0,-0.0\n", W), block=dataio._BLOCK_BYTES)
+# days that span blocks, with \r\n line ends; lone \r line ends, which make one block
+@example(case=("day,seconds\r\n0,5.0\r\n0,1.0\r\n0,-0.0\r\n1,3.0\r\n1,0.0\r\n2,2.0\r\n", W), block=7)
+@example(case=("day,seconds\r1,0.0\r0,-0.0\r1,-0.0\r0,0.0\r1,7.5\r0,-0.0\r", W), block=7)
+# blocks of only blank lines, after rows and after the header
+@example(case=("day,seconds\n0,1.0\n" + "\n" * 20 + "0,2.0\n\r\n\r\n", W), block=7)
+@example(case=("day,seconds\r\n" + "\r\n" * 70 + "0,2.0", W), block=64)
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_load_events_equals_row_parser(tmp_path, case):
+def test_load_events_equals_row_parser(tmp_path, monkeypatch, case, block):
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
     text, window = case
     path = tmp_path / "events.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert_same_outcome(outcome(load_events, path, window), outcome(load_events_by_rows, path, window))
 
 
-@given(case=event_csv(geo=True))
+@given(case=event_csv(geo=True), block=st.sampled_from(BLOCK_SIZES))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_load_geo_events_equals_row_parser(tmp_path, case):
+def test_load_geo_events_equals_row_parser(tmp_path, monkeypatch, case, block):
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
     text, window = case
     path = tmp_path / "geo.csv"
     path.write_text(text, encoding="utf-8", newline="")

@@ -194,6 +194,12 @@ def test_make_dataset_test_days_continue_the_stream():
     np.testing.assert_array_equal(tr3.days[0], tr2.days[0])
 
 
+@pytest.mark.parametrize("n_train, n_test, named", [(-1, 2, "n_train_days"), (3, -1, "n_test_days")])
+def test_make_dataset_names_a_negative_day_count(n_train, n_test, named):
+    with pytest.raises(ValueError, match=f"^{named} must be nonnegative, got -1$"):
+        make_dataset(af_rate(), n_train, n_test)
+
+
 def test_day_stream_substreams_are_distinct():
     a = day_stream(0, 0).random(4)
     b = day_stream(0, 1).random(4)
