@@ -48,7 +48,7 @@ from .core import (
     check_integer,
     penalized_risk,
 )
-from .regression import CellData, FitConfig, evaluate, fit_partition
+from .regression import CellData, evaluate, fit_partition
 from .stat_tests import MultiDayOutcome, check_test_settings, poisson_test_days
 
 _SEARCH_DOMAIN = 1  # substream namespace, disjoint from simulation
@@ -201,10 +201,6 @@ class _SearchEngine:
         config: SearchConfig,
         restart_index: int = 0,
     ):
-        if method not in DIVIDERS:
-            raise ValueError(f"unknown divider '{method}' (expected one of {', '.join(DIVIDERS)})")
-        if method == "relaxed" and config.eta_seconds is None:
-            raise ValueError("relaxed division requires eta_seconds")
         self.data = data
         self.events = events
         self.window = data.window
@@ -341,8 +337,22 @@ class _SearchEngine:
             return [(*child, half) for child, half in zip(children, halves)]
 
 
-def _check_events(events: EventSeries | None, counts: CountTable) -> None:
-    """Reject ivanov training arrivals that are not the ones ``counts`` tallies."""
+def _check_divider(method: str, data: CellData, events: EventSeries | None, config: SearchConfig) -> None:
+    """Refuse a run of divider ``method`` on ``data`` that lacks what the divider needs.
+
+    Both ``divide`` and ``learn`` call it once, before any search; ``learn``
+    after it has picked tikhonov's gamma.  ``ivanov`` needs ``events``, the
+    training arrivals that ``data``'s table tallies.
+    """
+    if method not in DIVIDERS:
+        raise ValueError(f"unknown divider '{method}' (expected one of {', '.join(DIVIDERS)})")
+    if method == "tikhonov" and config.gamma is None:
+        raise ValueError("tikhonov division requires gamma to be set")
+    if method == "relaxed" and config.eta_seconds is None:
+        raise ValueError("relaxed division requires eta_seconds")
+    if method != "ivanov":
+        return
+    counts = data.table
     if events is None:
         raise ValueError("ivanov division requires training arrival times")
     if events.window != counts.window:
@@ -357,27 +367,29 @@ def _check_events(events: EventSeries | None, counts: CountTable) -> None:
         raise ValueError(f"day {d}: {arrivals[d]} arrivals but its count row sums to {totals[d]:g}")
 
 
+def _check_data(data: CellData) -> None:
+    if not isinstance(data, CellData):
+        raise TypeError(f"data must be a CellData, got {type(data).__name__}")
+
+
 def divide(
     method: str,
-    counts: CountTable,
+    data: CellData,
     events: EventSeries | None = None,
-    fit_config: FitConfig | None = None,
     config: SearchConfig | None = None,
     restart_index: int = 0,
 ) -> SearchTrace:
-    """One division run (no restarts) with one of ``DIVIDERS``.
+    """One division run (no restarts) with one of ``DIVIDERS`` on the fits of ``data``.
 
-    ``ivanov`` needs ``events``, the training arrivals that ``counts``
+    ``ivanov`` needs ``events``, the training arrivals that ``data.table``
     tallies; ``tikhonov`` needs ``config.gamma``; ``relaxed`` splits until
     intervals reach twice ``config.eta_seconds``.  ``restart_index`` picks
     the random stream, as restart ``r`` of ``learn`` does.
     """
     config = config or SearchConfig()
-    if method == "tikhonov" and config.gamma is None:
-        raise ValueError("tikhonov division requires gamma to be set")
-    if method == "ivanov":
-        _check_events(events, counts)
-    return _SearchEngine(CellData(counts, fit_config), events, method, config, restart_index).run()
+    _check_data(data)
+    _check_divider(method, data, events, config)
+    return _SearchEngine(data, events, method, config, restart_index).run()
 
 
 def parse_method(method: str) -> tuple[str, int | None]:
@@ -397,55 +409,44 @@ def parse_method(method: str) -> tuple[str, int | None]:
 
 def learn(
     train_events: EventSeries | None,
-    train_counts: CountTable,
+    data: CellData,
     test_counts: CountTable | None = None,
     method: str = "ivanov",
-    fit_config: FitConfig | None = None,
     config: SearchConfig | None = None,
-    data: CellData | None = None,
 ) -> FitReport:
     """Learn a piecewise rate model with the requested division strategy.
 
-    Runs ``config.max_restarts`` independent divider runs and keeps the best
+    ``data`` is the training count table bound to its ``FitConfig``.  Runs
+    ``config.max_restarts`` independent divider runs and keeps the best
     partition by training risk, and scores its fit's train/test RMSE.
     ``method`` is one of ``ivanov``, ``tikhonov``, ``relaxed``, or
     ``equal:N``; for ``tikhonov`` with ``gamma=None`` the penalty weight is
     picked from a small grid on a held-out tail of the training days.
     ``ivanov`` tests ``train_events``, which must be the arrivals that
-    ``train_counts`` tallies; the other methods ignore them.
+    ``data.table`` tallies; the other methods ignore them.
 
-    ``data`` is a ``CellData`` built on ``train_counts`` (the same object)
-    under ``fit_config``; several calls on one table pass the same one to
-    share its fits.  A fit depends only on the table, the config and the
-    interval, so the report is the same as without it.  By default each
-    call builds its own.
+    ``data`` remembers every fit made on it, so several calls on one table
+    can pass the same ``CellData`` to share them.  A fit depends only on the
+    table, the config and the interval, so each report is the same either way.
     """
     config = config or SearchConfig()
     kind, n_equal = parse_method(method)
-    if kind == "equal" and config.trace_path is not None:
-        raise ValueError(f"method '{method}' runs no search, so it writes no trace; leave config.trace_path unset")
-    if kind == "equal" and n_equal > train_counts.n_cells:
-        raise ValueError(
-            f"method '{method}' asks for {n_equal} bins, more than the {train_counts.n_cells} cells "
-            "of the training window"
-        )
-    if kind == "ivanov":
-        _check_events(train_events, train_counts)
-    fit_config = fit_config or FitConfig()
-    if data is None:
-        data = CellData(train_counts, fit_config)
-    elif data.table is not train_counts:
-        raise ValueError("data was built on another count table than train_counts")
-    elif data.config != fit_config:
-        raise ValueError(f"data was built under {data.config}, not under fit_config {fit_config}")
-
-    if kind == "tikhonov" and config.gamma is None:
-        config = replace(config, gamma=_select_gamma(train_counts, fit_config, config))
-
+    _check_data(data)
+    train_counts = data.table
     if kind == "equal":
+        if config.trace_path is not None:
+            raise ValueError(f"method '{method}' runs no search, so it writes no trace; leave config.trace_path unset")
+        if n_equal > train_counts.n_cells:
+            raise ValueError(
+                f"method '{method}' asks for {n_equal} bins, more than the {train_counts.n_cells} cells "
+                "of the training window"
+            )
         fit = fit_partition(data, equal_partition(train_counts.window, n_equal))
         traces: list[SearchTrace] = []
     else:
+        if kind == "tikhonov" and config.gamma is None:
+            config = replace(config, gamma=_select_gamma(data, config))
+        _check_divider(kind, data, train_events, config)
         (fit,), traces = _search_best(train_events, data, kind, config, (config.gamma,))
     model, risks, sizes = fit
     report = FitReport(
@@ -493,8 +494,8 @@ def _search_best(
     return winners, traces
 
 
-def _select_gamma(train_counts: CountTable, fit_config: FitConfig | None, config: SearchConfig) -> float:
-    """Grid-search the penalty weight on a held-out tail of training days.
+def _select_gamma(data: CellData, config: SearchConfig) -> float:
+    """Grid-search the penalty weight on a held-out tail of the training days of ``data``.
 
     The first ``ceil(0.75 * n_days)`` days (all but one at most) are searched
     once per restart, and every value of ``GAMMA_GRID`` picks its winner from
@@ -503,14 +504,15 @@ def _select_gamma(train_counts: CountTable, fit_config: FitConfig | None, config
     fewer than 2 training days nothing can be held out, and ``1e-2`` is
     returned.
     """
-    n_days = train_counts.n_days
+    table = data.table
+    n_days = table.n_days
     if n_days < 2:
         return 1e-2
     n_fit = max(1, int(math.ceil(0.75 * n_days)))
     n_fit = min(n_fit, n_days - 1)
-    fit_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[:n_fit])
-    val_table = CountTable(train_counts.window, train_counts.resolution, train_counts.counts[n_fit:])
-    data = CellData(fit_table, fit_config)
+    fit_table = CountTable(table.window, table.resolution, table.counts[:n_fit])
+    val_table = CountTable(table.window, table.resolution, table.counts[n_fit:])
+    data = CellData(fit_table, data.config)
     winners, _ = _search_best(None, data, "tikhonov", config, GAMMA_GRID)
     best_gamma = GAMMA_GRID[0]
     best_rmse = math.inf

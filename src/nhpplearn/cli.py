@@ -19,6 +19,7 @@ from .experiments import (
     run_experiment_2,
     run_experiment_3,
 )
+from .regression import CellData
 from .regression import evaluate as evaluate_model
 from .simulate import make_dataset
 from .stat_tests import poisson_test_days
@@ -102,6 +103,14 @@ def simulate(cfg):
         cfg.build_rate(), cfg.n_train_days, cfg.n_test_days,
         seed=cfg.seed, mode=cfg.sim_mode, count_range=(cfg.count_lo, cfg.count_hi),
     )
+    # a day exists in an event file only through its rows, so an empty one would vanish
+    for name, series in (("train", train), ("test", test)):
+        empty = [d for d, arr in enumerate(series.days) if not arr.size]
+        if empty:
+            raise ValueError(
+                f"simulated {name} day {empty[0]} has no arrivals, and an event file cannot hold an empty day "
+                "(raise count_lo or the rate)"
+            )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_events(train, out / "train.csv")
@@ -157,10 +166,7 @@ def learn(cfg, input_path, test_input, method, eta_minutes):
     if test_input:
         test_table = CountTable.from_events(load_events(test_input), cfg.resolution)
     search = cfg.search_config(eta_seconds=None if eta_minutes is None else eta_minutes * 60.0)
-    report = learn_model(
-        series, table, test_table, method=method,
-        fit_config=cfg.fit_config(), config=search,
-    )
+    report = learn_model(series, CellData(table, cfg.fit_config()), test_table, method=method, config=search)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(report.model, out / "model.json")

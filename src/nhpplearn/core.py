@@ -8,6 +8,7 @@ exact hit on the window end so every in-window time has a bin.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,6 +78,11 @@ def check_integer(name: str, value) -> None:
     """Refuse ``value`` unless it is a Python or numpy integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number; a bool (JSON's true and false read as one) is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _cell_edges(window: TimeWindow, resolution: float) -> np.ndarray:

@@ -8,7 +8,8 @@ round-trip exactly through JSON.  A model file carries a schema ``version``;
 one without it (written before the field existed) is read as version 1.  A
 model file without ``resolution`` loads with the resolution unknown.
 
-An event file is read once, in blocks of whole lines (``_read_events``).
+An event file is read once, in blocks of whole lines (``_read_events``),
+each ending at a ``\n`` or, where a file has lone ``\r`` line ends, at a ``\r``.
 Each block is checked (UTF-8, naming the line that is not; no quote or
 ASCII separator; no longer than csv's field limit), parsed by one
 ``np.loadtxt`` call, and its seconds checked against the window.
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EventSeries, Partition, RateModel, TimeWindow
+from .core import EventSeries, Partition, RateModel, TimeWindow, is_number
 from .spatial import GeoEventSeries
 
 EVENT_HEADER = ["day", "seconds"]
@@ -108,10 +109,16 @@ def _read_events(
     day ids are Python ints (object dtype), which also takes ids beyond int64.
     """
     floats = [(name, float) for name in header[1:]]
-    bulk, n_rows, offset = True, 0, 0
+    bulk, n_rows, offset, carry = True, 0, 0, b""
     with open(path, "rb") as fh:
-        while chunk := fh.read(_BLOCK_BYTES):
-            block = chunk + fh.readline()  # whole lines; a file with lone \r ends may be one block
+        while chunk := carry + fh.read(_BLOCK_BYTES):
+            # whole lines: up to the next \n, or, in a chunk with no \n, through
+            # its last \r but one that may start a \r\n (the rest is carried on)
+            cut = -1 if b"\n" in chunk else chunk.rfind(b"\r", 0, -1) + 1
+            if cut > 0:
+                block, carry = chunk[:cut], chunk[cut:]
+            else:
+                block, carry = chunk + fh.readline(), b""
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -229,14 +236,17 @@ def save_model(model: RateModel, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _is_number(value) -> bool:
-    """Whether a JSON value is a number; json reads true and false as bools, which are ints."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _load_json(path: str | Path):
+    """The payload of a JSON file; one that does not parse is refused with its path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError, or UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_model(path: str | Path) -> RateModel:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _load_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model file must hold a JSON object")
     version = payload.get("version", MODEL_VERSION)  # files from before the field are version 1
@@ -249,14 +259,14 @@ def load_model(path: str | Path) -> RateModel:
     if not isinstance(win, dict) or "start" not in win or "end" not in win:
         raise ValueError(f"{path}: field 'window' must carry 'start' and 'end'")
     for key in ("start", "end"):
-        if not _is_number(win[key]):
+        if not is_number(win[key]):
             raise ValueError(f"{path}: field 'window' {key} must be a number, got {win[key]!r}")
     try:
         window = TimeWindow(float(win["start"]), float(win["end"]))
     except ValueError as exc:
         raise ValueError(f"{path}: field 'window': {exc}") from None
     knots = payload["knots"]
-    if not (isinstance(knots, list) and all(map(_is_number, knots))):
+    if not (isinstance(knots, list) and all(map(is_number, knots))):
         raise ValueError(f"{path}: field 'knots' must be a list of numbers")
     try:
         partition = Partition(window=window, knots=tuple(knots))
@@ -281,13 +291,13 @@ def load_model(path: str | Path) -> RateModel:
             )
         for v in row:
             # json reads NaN and Infinity as floats; a model never holds them
-            if not (_is_number(v) and math.isfinite(v)):
+            if not (is_number(v) and math.isfinite(v)):
                 raise ValueError(f"{path}: field 'coefficients' row {k} holds {v!r}, not a finite number")
     clamp = payload["clamp"]
     if not isinstance(clamp, bool):
         raise ValueError(f"{path}: field 'clamp' must be a boolean")
     resolution = payload.get("resolution")
-    if resolution is not None and not (_is_number(resolution) and math.isfinite(resolution) and resolution > 0):
+    if resolution is not None and not (is_number(resolution) and math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"{path}: field 'resolution' must be a positive number of seconds")
     return RateModel(
         partition=partition, coefficients=np.asarray(coeffs, dtype=float), clamp=clamp,

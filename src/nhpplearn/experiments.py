@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .binning import SearchConfig, equal_partition, learn
-from .core import CountTable, EventSeries, TimeWindow, check_integer
-from .dataio import save_model
+from .core import CountTable, EventSeries, TimeWindow, check_integer, is_number
+from .dataio import _load_json, save_model
 from .regression import CellData, FitConfig, evaluate, fit_partition
 from .simulate import PiecewiseLinearRate, af_rate, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
@@ -59,10 +58,11 @@ class ExperimentConfig:
     geo_path: str | None = None
 
     def __post_init__(self) -> None:
-        # the settings forwarded to the search and the fits are checked there,
-        # so a bad config file fails before anything is simulated
+        # the settings forwarded to the search, the fits and the simulator are
+        # checked there, so a bad config file fails before anything is made
         self.search_config()
         self.fit_config()
+        self.build_rate()
         for name in ("n_train_days", "n_test_days", "count_lo", "count_hi", "clusters"):
             check_integer(name, getattr(self, name))
         if self.clusters < 1:
@@ -74,7 +74,7 @@ class ExperimentConfig:
             raise ValueError(f"eta_sweep_minutes must be a list of minutes, got {self.eta_sweep_minutes!r}") from None
         for eta in self.eta_sweep_minutes:
             # NaN fails every comparison, so a bare sign check would let it through
-            if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not (math.isfinite(eta) and eta > 0):
+            if not (is_number(eta) and math.isfinite(eta) and eta > 0):
                 raise ValueError(f"eta_sweep_minutes must be finite and positive, got {eta!r}")
 
     @classmethod
@@ -112,8 +112,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, defaults: "ExperimentConfig | None" = None) -> "ExperimentConfig":
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = _load_json(path)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: config file must hold a JSON object, got {type(payload).__name__}")
         base = defaults or cls()
         known = set(base.__dataclass_fields__)
         unknown = set(payload) - known
@@ -201,15 +202,11 @@ def run_experiment_1(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, _, train_table, test_table = _dataset(cfg)
-    fit_config = cfg.fit_config()
-    data = CellData(train_table, fit_config)  # every eta reuses the fits of the ones before
+    data = CellData(train_table, cfg.fit_config())  # every eta reuses the fits of the ones before
     rows = []
     for eta_minutes in cfg.eta_sweep_minutes:
         search = cfg.search_config(eta_seconds=eta_minutes * 60.0)
-        report = learn(
-            None, train_table, test_table,
-            method="relaxed", fit_config=fit_config, config=search, data=data,
-        )
+        report = learn(None, data, test_table, method="relaxed", config=search)
         rows.append([f"{eta_minutes:.6g}", report.n_bins, report.rmse_train, report.rmse_test])
     path = out_dir / "exp1.csv"
     _write_csv(path, EXP1_HEADER, rows)
@@ -226,16 +223,12 @@ def run_experiment_2(cfg: ExperimentConfig) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train, _, train_table, test_table = _dataset(cfg)
-    fit_config = cfg.fit_config()
     # one memo for all three calls: the ivanov and tikhonov restarts draw from
     # the same seed streams, so tikhonov finds many of its intervals fitted
-    data = CellData(train_table, fit_config)
+    data = CellData(train_table, cfg.fit_config())
     rows = []
 
-    unbinned = learn(
-        None, train_table, test_table, method="equal:1",
-        fit_config=fit_config, config=cfg.search_config(), data=data,
-    )
+    unbinned = learn(None, data, test_table, method="equal:1", config=cfg.search_config())
     rows.append([cfg.instance, "unbinned", unbinned.rmse_train, unbinned.rmse_test,
                  unbinned.n_bins, None, None, None])
 
@@ -243,10 +236,7 @@ def run_experiment_2(cfg: ExperimentConfig) -> Path:
         ("dbm_ivanov", "ivanov", train),
         ("dbm_tikhonov", "tikhonov", None),
     ):
-        report = learn(
-            events, train_table, test_table, method=method,
-            fit_config=fit_config, config=cfg.search_config(), data=data,
-        )
+        report = learn(events, data, test_table, method=method, config=cfg.search_config())
         # the search may leave more bins than cells, which learn's equal:N
         # rejects, so the baseline is fitted here
         equal, _, _ = fit_partition(data, equal_partition(train_table.window, report.n_bins))

@@ -21,12 +21,14 @@ cell midpoints and tiled over the days (elementwise, hence exact), and no
 
 A ``CellData`` binds one count table to one ``FitConfig`` and holds the only
 record of the fits made on it: a memo, keyed by ``(lo, hi)``, of each fit's
-coefficients, risk and occupancy (the search engine keeps no copy).
-``learn`` passes it to every restart and to the final
-``fit_partition(data, partition)``.  An experiment builds one per count
-table and passes it to every ``learn`` call on that table (the eta sweep,
-or the unbinned, ivanov and tikhonov calls), so an interval is fitted once
-per experiment call; the memo goes away with it.
+coefficients, risk and occupancy (the search engine keeps no copy).  It is
+the data ``learn`` and ``divide`` take: ``learn`` passes it to every restart
+and to the final ``fit_partition(data, partition)``.  The caller builds it.
+An experiment builds one per count table and passes it to every ``learn``
+call on that table (the eta sweep, or the unbinned, ivanov and tikhonov
+calls), so an interval is fitted once per experiment call; ``learn_per_area``
+builds one per area, and ``nhpplearn learn`` one per run.  The memo goes
+away with it.
 
 A constant fit (effective degree 0: one cell, or ``degree == 0``) is also
 shared by cell slice, so every ``(lo, hi)`` covering the same cells reuses

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventSeries, TimeWindow
+from .core import EventSeries, TimeWindow, is_number
 
 _SIM_DOMAIN = 0  # substream namespace for simulation
 
@@ -147,14 +147,23 @@ class PiecewiseLinearRate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PiecewiseLinearRate":
+        """The rate of a ``to_dict`` payload; one of another shape is refused by field."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"rate config must be an object, got {payload!r}")
         for key in ("breakpoints", "segments"):
             if key not in payload:
                 raise ValueError(f"rate config missing field '{key}'")
-        return cls(
-            breakpoints=tuple(payload["breakpoints"]),
-            segments=tuple(tuple(pair) for pair in payload["segments"]),
-            scale=float(payload.get("scale", 1.0)),
-        )
+        breakpoints, segments, scale = payload["breakpoints"], payload["segments"], payload.get("scale", 1.0)
+        if not (isinstance(breakpoints, (list, tuple)) and all(map(is_number, breakpoints))):
+            raise ValueError(f"rate config field 'breakpoints' must be a list of numbers, got {breakpoints!r}")
+        if not isinstance(segments, (list, tuple)):
+            raise ValueError(f"rate config field 'segments' must be a list of pairs, got {segments!r}")
+        for j, pair in enumerate(segments):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_number, pair))):
+                raise ValueError(f"rate config segment {j} must be a pair of numbers [slope, intercept], got {pair!r}")
+        if not is_number(scale):
+            raise ValueError(f"rate config field 'scale' must be a number, got {scale!r}")
+        return cls(tuple(breakpoints), tuple(tuple(pair) for pair in segments), float(scale))
 
 
 def af_rate() -> PiecewiseLinearRate:

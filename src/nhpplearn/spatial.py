@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import CountTable, EventSeries, FitReport, TimeWindow
 from .binning import SearchConfig, learn
-from .regression import FitConfig
+from .regression import CellData, FitConfig
 
 _SPATIAL_DOMAIN = 2
 
@@ -195,7 +195,6 @@ def learn_per_area(
     config = config or SearchConfig()
     if config.trace_path is not None:
         raise ValueError("learn_per_area writes no search trace; leave config.trace_path unset")
-    fit_config = fit_config or FitConfig()
     all_days = geo.day_ids()
     train_ids = np.asarray(all_days if train_days is None else train_days, dtype=int)
     test_ids = np.asarray([] if test_days is None else test_days, dtype=int)
@@ -210,15 +209,7 @@ def learn_per_area(
         train_table = CountTable.from_events(train, resolution)
         test_table = None if test is None else CountTable.from_events(test, resolution)
         area_config = replace(config, seed=config.seed + a)
-        report = learn(
-            train,
-            train_table,
-            test_table,
-            method=method,
-            fit_config=fit_config,
-            config=area_config,
-        )
-        reports.append(report)
+        reports.append(learn(train, CellData(train_table, fit_config), test_table, method=method, config=area_config))
     return SpatialFit(
         clustering=result,
         reports=tuple(reports),

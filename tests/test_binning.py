@@ -138,21 +138,21 @@ def test_divider_prerequisites():
     events = uniform_series(2, 50)
     counts = CountTable.from_events(events, 300.0)
     with pytest.raises(ValueError, match="requires gamma"):
-        divide("tikhonov", counts)  # gamma left unset
+        divide("tikhonov", CellData(counts))  # gamma left unset
     with pytest.raises(ValueError, match="requires eta_seconds"):
-        divide("relaxed", counts)
+        divide("relaxed", CellData(counts))
     with pytest.raises(ValueError, match="requires training arrival times"):
-        divide("ivanov", counts)
+        divide("ivanov", CellData(counts))
     with pytest.raises(ValueError, match="share a window"):
         other = CountTable.from_events(EventSeries(TimeWindow(0.0, 7200.0), (np.array([10.0]),)), 300.0)
-        divide("ivanov", other, events)
+        divide("ivanov", CellData(other), events)
 
 
 @pytest.mark.parametrize("method", ["equal:3", "dbm"])
 def test_divide_rejects_what_is_not_a_divider(method):
     counts = CountTable.from_events(uniform_series(1, 50), 300.0)
     with pytest.raises(ValueError, match=f"unknown divider '{method}'"):
-        divide(method, counts)
+        divide(method, CellData(counts))
 
 
 # --- relaxed division ---------------------------------------------------------
@@ -160,7 +160,7 @@ def test_divide_rejects_what_is_not_a_divider(method):
 def test_relaxed_divides_down_to_the_length_floor():
     counts = CountTable.from_events(uniform_series(2, 400), 300.0)
     eta = 7200.0
-    trace = divide("relaxed", counts, config=SearchConfig(max_depth=30, max_bins=64, eta_seconds=eta))
+    trace = divide("relaxed", CellData(counts), config=SearchConfig(max_depth=30, max_bins=64, eta_seconds=eta))
     part = trace.best_partition()
     assert part.n_bins >= 6  # 86400 / (2 * 7200) = 6 is the fewest possible
     assert (part.lengths() <= 2.0 * eta + 1e-9).all()
@@ -174,9 +174,9 @@ def test_relaxed_divides_down_to_the_length_floor():
 def test_relaxed_is_deterministic_per_restart_index():
     counts = CountTable.from_events(uniform_series(1, 200), 300.0)
     cfg = SearchConfig(eta_seconds=10000.0, seed=5)
-    a = divide("relaxed", counts, config=cfg, restart_index=2)
-    b = divide("relaxed", counts, config=cfg, restart_index=2)
-    c = divide("relaxed", counts, config=cfg, restart_index=3)
+    a = divide("relaxed", CellData(counts), config=cfg, restart_index=2)
+    b = divide("relaxed", CellData(counts), config=cfg, restart_index=2)
+    c = divide("relaxed", CellData(counts), config=cfg, restart_index=3)
     assert a.best_partition() == b.best_partition()
     assert a.best_partition() != c.best_partition()
 
@@ -186,7 +186,8 @@ def test_relaxed_is_deterministic_per_restart_index():
 def test_ivanov_splits_inhomogeneous_data():
     events = steep_series()
     counts = CountTable.from_events(events, 300.0)
-    trace = divide("ivanov", counts, events, FitConfig(degree=1), SearchConfig(max_depth=6, max_bins=8, max_retries=3))
+    cfg = SearchConfig(max_depth=6, max_bins=8, max_retries=3)
+    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
     assert trace.best_partition().n_bins >= 2
     kinds = {e.kind for e in trace.entries}
     assert "split" in kinds and "root" in kinds
@@ -195,7 +196,8 @@ def test_ivanov_splits_inhomogeneous_data():
 def test_ivanov_split_entries_carry_failing_half():
     events = steep_series(4, 200, seed=3)
     counts = CountTable.from_events(events, 300.0)
-    trace = divide("ivanov", counts, events, FitConfig(degree=1), SearchConfig(max_depth=5, max_bins=6, max_retries=2))
+    cfg = SearchConfig(max_depth=5, max_bins=6, max_retries=2)
+    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
     splits = [e for e in trace.entries if e.kind == "split"]
     assert splits
     for e in splits:
@@ -211,7 +213,7 @@ def test_ivanov_zero_bar_probe_leafs_immediately():
     events = steep_series(3, 100, seed=1)
     counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_retries=0, min_pass_fraction=0.0)
-    trace = divide("ivanov", counts, events, FitConfig(degree=1), cfg)
+    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
     assert trace.best_partition().n_bins == 1
     assert [e.kind for e in trace.entries] == ["root", "probe", "leaf"]
 
@@ -220,7 +222,7 @@ def test_ivanov_homogeneous_data_stays_coarse():
     events = uniform_series(8, 120, seed=2)
     counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=8, max_bins=32, max_retries=2, min_pass_fraction=0.5)
-    trace = divide("ivanov", counts, events, FitConfig(degree=0), cfg)
+    trace = divide("ivanov", CellData(counts, FitConfig(degree=0)), events, cfg)
     # with a forgiving pass bar, uniform arrivals rarely fail a probe, so the
     # retry budget runs out near the root
     assert trace.best_partition().n_bins <= 6
@@ -271,7 +273,7 @@ def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, re
     counts = CountTable.from_events(events, 300.0)
     fit = FitConfig(degree=degree)
     cfg = SearchConfig(max_depth=6, max_bins=10, max_retries=2, gamma=gamma, eta_seconds=eta, seed=search_seed)
-    trace = divide(method, counts, events, fit, cfg, restart_index=restart)
+    trace = divide(method, CellData(counts, fit), events, cfg, restart_index=restart)
     part = trace.best_partition()
     _, risks, sizes = fit_partition(CellData(counts, fit), part)
     penalized = penalized_risk(sizes, risks, part, gamma)
@@ -294,7 +296,7 @@ def test_ties_keep_the_earliest_state(method):
     # zero counts fit exactly, so every visited state ties with the root at 0
     counts = CountTable(W, 300.0, np.zeros((2, 288)))
     cfg = SearchConfig(max_depth=4, max_bins=8, gamma=1e-2, eta_seconds=600.0)
-    trace = divide(method, counts, None, FitConfig(degree=1), cfg)
+    trace = divide(method, CellData(counts, FitConfig(degree=1)), None, cfg)
     assert sum(e.kind == "split" for e in trace.entries) > 0
     assert trace.best_partition().knots == ()
     assert trace.best_state(1.0) == ((), 0.0, 0.0)
@@ -302,7 +304,8 @@ def test_ties_keep_the_earliest_state(method):
 
 def test_max_bins_budget_is_respected():
     counts = CountTable.from_events(uniform_series(1, 400), 300.0)
-    trace = divide("tikhonov", counts, None, FitConfig(degree=0), SearchConfig(max_bins=5, max_depth=20, gamma=1e-4))
+    cfg = SearchConfig(max_bins=5, max_depth=20, gamma=1e-4)
+    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), None, cfg)
     # the divider never grows past the cap
     assert max(e.n_bins for e in trace.entries) <= 5
     assert any(e.kind == "leaf" and e.reason == "max-bins" for e in trace.entries)
@@ -310,7 +313,8 @@ def test_max_bins_budget_is_respected():
 
 def test_max_depth_budget_is_respected():
     counts = CountTable.from_events(uniform_series(1, 400), 300.0)
-    trace = divide("tikhonov", counts, None, FitConfig(degree=0), SearchConfig(max_depth=2, max_bins=64, gamma=1e-4))
+    cfg = SearchConfig(max_depth=2, max_bins=64, gamma=1e-4)
+    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), None, cfg)
     assert max(e.n_bins for e in trace.entries) <= 4  # depth 2 caps at 4 bins
     assert any(e.reason == "max-depth" for e in trace.entries)
 
@@ -321,7 +325,8 @@ def test_worst_bin_is_refined_first():
     flat = rng.poisson(5.0, size=(4, 144))
     step = np.concatenate([rng.poisson(2.0, size=(4, 72)), rng.poisson(40.0, size=(4, 72))], axis=1)
     counts = CountTable(W, 300.0, np.concatenate([flat, step], axis=1).astype(float))
-    trace = divide("tikhonov", counts, None, FitConfig(degree=0), SearchConfig(max_bins=3, max_depth=10, gamma=1e-6))
+    cfg = SearchConfig(max_bins=3, max_depth=10, gamma=1e-6)
+    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), None, cfg)
     root_split = next(e for e in trace.entries if e.kind == "split" and e.depth == 0)
     p = root_split.proposed_knot
     data = CellData(counts, FitConfig(degree=0))
@@ -336,7 +341,7 @@ def test_worst_bin_is_refined_first():
 
 def test_learn_equal_method_reports_requested_bins():
     counts = CountTable.from_events(uniform_series(2, 200), 300.0)
-    rep = learn(None, counts, method="equal:6", fit_config=FitConfig(degree=1))
+    rep = learn(None, CellData(counts, FitConfig(degree=1)), method="equal:6")
     assert rep.n_bins == 6
     assert rep.method == "equal:6"
     assert rep.rmse_test is None
@@ -348,29 +353,29 @@ def test_learn_equal_method_refuses_a_trace_path(tmp_path):
     counts = CountTable.from_events(uniform_series(2, 200), 300.0)
     path = tmp_path / "t.jsonl"
     with pytest.raises(ValueError, match="method 'equal:6' runs no search.*trace_path"):
-        learn(None, counts, method="equal:6", config=SearchConfig(trace_path=str(path)))
+        learn(None, CellData(counts), method="equal:6", config=SearchConfig(trace_path=str(path)))
     assert not path.exists()
 
 
 def test_learn_equal_bins_are_capped_by_the_cell_count():
     counts = CountTable.from_events(uniform_series(2, 200), 300.0)
-    assert learn(None, counts, method=f"equal:{counts.n_cells}").n_bins == counts.n_cells
+    assert learn(None, CellData(counts), method=f"equal:{counts.n_cells}").n_bins == counts.n_cells
     n = counts.n_cells
     with pytest.raises(ValueError, match=f"asks for {n + 1} bins, more than the {n} cells"):
-        learn(None, counts, method=f"equal:{n + 1}")
+        learn(None, CellData(counts), method=f"equal:{n + 1}")
 
 
 def test_learn_requires_events_for_ivanov():
     counts = CountTable.from_events(uniform_series(1, 50), 300.0)
     with pytest.raises(ValueError, match="requires training arrival times"):
-        learn(None, counts, method="ivanov")
+        learn(None, CellData(counts), method="ivanov")
 
 
 def test_ivanov_rejects_events_the_counts_do_not_tally(monkeypatch):
     events = steep_series(6, 300, seed=1)
     other = CountTable.from_events(steep_series(3, 300, seed=2), 300.0)
     cfg = SearchConfig(max_depth=4, max_bins=4, max_restarts=3, max_retries=1)
-    for run in (lambda e, c: learn(e, c, config=cfg), lambda e, c: divide("ivanov", c, e, config=cfg)):
+    for run in (lambda e, c: learn(e, CellData(c), config=cfg), lambda e, c: divide("ivanov", CellData(c), e, cfg)):
         with pytest.raises(ValueError, match="^events have 6 days but counts have 3$"):
             run(events, other)
         # the right day count, but day 2 lost its last arrival
@@ -380,18 +385,18 @@ def test_ivanov_rejects_events_the_counts_do_not_tally(monkeypatch):
             run(short, counts)
     # checked once per call, not once per restart
     calls = []
-    check = binning._check_events
-    monkeypatch.setattr(binning, "_check_events", lambda *a: calls.append(a) or check(*a))
+    check = binning._check_divider
+    monkeypatch.setattr(binning, "_check_divider", lambda *a: calls.append(a) or check(*a))
     counts = CountTable.from_events(events, 300.0)
-    learn(events, counts, config=cfg)
-    divide("ivanov", counts, events, config=cfg)
+    learn(events, CellData(counts), config=cfg)
+    divide("ivanov", CellData(counts), events, config=cfg)
     assert len(calls) == 2
 
 
 def test_learn_gamma_autoselection_uses_grid():
     events = steep_series(4, 150, seed=11)
     counts = CountTable.from_events(events, 300.0)
-    rep = learn(None, counts, method="tikhonov", fit_config=FitConfig(degree=1),
+    rep = learn(None, CellData(counts, FitConfig(degree=1)), method="tikhonov",
                 config=SearchConfig(max_depth=4, max_bins=6, max_restarts=2, seed=1))
     assert rep.gamma in GAMMA_GRID
     assert rep.penalized_risk is not None
@@ -401,7 +406,7 @@ def test_learn_gamma_autoselection_uses_grid():
 def test_learn_one_day_tikhonov_falls_back_to_gamma_1e_2():
     # one training day leaves none to hold out, so no grid value is scored
     counts = CountTable.from_events(steep_series(1, 200, seed=5), 300.0)
-    rep = learn(None, counts, method="tikhonov", fit_config=FitConfig(degree=1),
+    rep = learn(None, CellData(counts, FitConfig(degree=1)), method="tikhonov",
                 config=SearchConfig(max_depth=4, max_bins=6, max_restarts=2))
     assert rep.gamma == 0.01
 
@@ -416,7 +421,7 @@ def select_gamma_by_learn(train_counts, fit_config, config):
     best_gamma, best_rmse = GAMMA_GRID[0], math.inf
     for g in GAMMA_GRID:
         sub = replace(config, gamma=g)
-        rep = learn(None, fit_table, val_table, method="tikhonov", fit_config=fit_config, config=sub)
+        rep = learn(None, CellData(fit_table, fit_config), val_table, method="tikhonov", config=sub)
         if rep.rmse_test < best_rmse:
             best_gamma, best_rmse = g, rep.rmse_test
     return best_gamma
@@ -442,8 +447,8 @@ def test_gamma_selection_equals_one_learn_per_grid_value(seed, n_days, degree, r
     fit = FitConfig(degree=degree)
     cfg = SearchConfig(max_depth=8, max_bins=24, max_restarts=restarts, seed=seed)
     gamma = select_gamma_by_learn(counts, fit, cfg)
-    want = learn(None, counts, test, method="tikhonov", fit_config=fit, config=replace(cfg, gamma=gamma))
-    got = learn(None, counts, test, method="tikhonov", fit_config=fit, config=cfg)
+    want = learn(None, CellData(counts, fit), test, method="tikhonov", config=replace(cfg, gamma=gamma))
+    got = learn(None, CellData(counts, fit), test, method="tikhonov", config=cfg)
     assert got.gamma == gamma
     assert bits(*got.partition.knots) == bits(*want.partition.knots)
     assert bits(got.rmse_train, got.rmse_test, got.penalized_risk) == bits(
@@ -457,7 +462,8 @@ def test_tikhonov_search_path_does_not_depend_on_gamma(seed):
     counts = CountTable.from_events(events, 300.0)
     fit = FitConfig(degree=1)
     cfg = SearchConfig(max_depth=6, max_bins=16, seed=seed)
-    runs = {g: divide("tikhonov", counts, None, fit, replace(cfg, gamma=g), restart_index=seed) for g in (1e-7, 0.3)}
+    data = CellData(counts, fit)
+    runs = {g: divide("tikhonov", data, None, replace(cfg, gamma=g), restart_index=seed) for g in (1e-7, 0.3)}
     small, large = runs.values()
     # every event matches but the penalized risk, which is reported under each run's gamma
     assert [replace(e, penalized=None) for e in small.entries] == [replace(e, penalized=None) for e in large.entries]
@@ -475,8 +481,8 @@ def test_learn_is_deterministic_for_fixed_seed():
     events = steep_series(3, 200, seed=17)
     counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=5, max_bins=8, max_restarts=3, max_retries=2, seed=42)
-    a = learn(events, counts, method="ivanov", fit_config=FitConfig(degree=1), config=cfg)
-    b = learn(events, counts, method="ivanov", fit_config=FitConfig(degree=1), config=cfg)
+    a = learn(events, CellData(counts, FitConfig(degree=1)), method="ivanov", config=cfg)
+    b = learn(events, CellData(counts, FitConfig(degree=1)), method="ivanov", config=cfg)
     assert a.partition.knots == b.partition.knots
     assert a.rmse_train == b.rmse_train
 
@@ -486,7 +492,7 @@ def test_learn_writes_jsonl_trace(tmp_path):
     counts = CountTable.from_events(events, 300.0)
     path = tmp_path / "trace.jsonl"
     cfg = SearchConfig(max_depth=4, max_bins=4, max_restarts=2, max_retries=1, seed=0, trace_path=str(path))
-    learn(events, counts, method="ivanov", fit_config=FitConfig(degree=1), config=cfg)
+    learn(events, CellData(counts, FitConfig(degree=1)), method="ivanov", config=cfg)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines
     best_rows = [r for r in lines if r["event"] == "best"]
@@ -508,14 +514,15 @@ def test_learn_trace_matches_its_golden_file(tmp_path, method, extra):
     counts = CountTable.from_events(train, 300.0)
     path = tmp_path / "trace.jsonl"
     cfg = SearchConfig(max_depth=6, max_bins=8, max_restarts=2, max_retries=2, seed=0, trace_path=str(path), **extra)
-    learn(train, counts, method=method, fit_config=FitConfig(degree=1), config=cfg)
+    learn(train, CellData(counts, FitConfig(degree=1)), method=method, config=cfg)
     assert path.read_bytes() == (GOLDEN_TRACES / f"trace_{method}.jsonl").read_bytes()
 
 
 def test_trace_entries_replay_states_and_events():
     events = steep_series(3, 250, seed=5)
     counts = CountTable.from_events(events, 300.0)
-    trace = divide("ivanov", counts, events, FitConfig(degree=1), SearchConfig(max_depth=5, max_bins=6, gamma=1e-3))
+    cfg = SearchConfig(max_depth=5, max_bins=6, gamma=1e-3)
+    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
     entries = trace.entries
     assert len(entries) == len(trace.events)
     made = [e for e in entries if e.kind in ("root", "split")]
@@ -529,7 +536,7 @@ def test_trace_entries_replay_states_and_events():
         assert entry.right_test == (None if right is None else right.to_dict())
         assert entry.n_bins == len(entry.knots) + 1
     # tikhonov ranks states only under a gamma
-    tik = divide("tikhonov", counts, None, FitConfig(degree=1), SearchConfig(max_bins=4, gamma=1e-3))
+    tik = divide("tikhonov", CellData(counts, FitConfig(degree=1)), None, SearchConfig(max_bins=4, gamma=1e-3))
     with pytest.raises(ValueError, match="ranked under a gamma"):
         tik.best_state(None)
 
@@ -542,7 +549,7 @@ def report_bytes(rep):
 
 
 def learn_alone_and_shared(tmp_path, calls, train_counts, fit_config):
-    """Run each (events, method, config, kwargs) call twice: alone, and on one shared CellData.
+    """Run each (events, method, config, kwargs) call twice: on a CellData of its own, and on one shared one.
 
     Returns the pairs of (report, JSONL trace bytes); the shared calls run in
     order, so each finds the fits of the calls before it.  ``equal:N`` runs no
@@ -552,13 +559,10 @@ def learn_alone_and_shared(tmp_path, calls, train_counts, fit_config):
     pairs = []
     for i, (events, method, config, kwargs) in enumerate(calls):
         out = []
-        for side, data in (("alone", None), ("shared", shared)):
+        for side, data in (("alone", CellData(train_counts, fit_config)), ("shared", shared)):
             path = tmp_path / f"{i}-{side}.jsonl"
             trace_path = None if method.startswith("equal:") else str(path)
-            rep = learn(
-                events, train_counts, method=method, fit_config=fit_config,
-                config=replace(config, trace_path=trace_path), data=data, **kwargs,
-            )
+            rep = learn(events, data, method=method, config=replace(config, trace_path=trace_path), **kwargs)
             out.append((report_bytes(rep), path.read_bytes() if path.exists() else None))
         pairs.append(out)
     return pairs
@@ -595,20 +599,37 @@ def test_shared_data_over_ivanov_then_tikhonov_equals_learn_alone(tmp_path, seed
     assert pairs[1][0][1] and pairs[2][0][1]  # both searches wrote a trace
 
 
-def test_learn_rejects_data_of_another_table_or_fit_config():
+def test_learn_and_divide_refuse_data_that_is_not_a_cell_data():
     events = steep_series(2, 200, seed=7)
     counts = CountTable.from_events(events, 300.0)
-    twin = CountTable(counts.window, counts.resolution, counts.counts)  # equal, but another object
-    with pytest.raises(ValueError, match="^data was built on another count table than train_counts$"):
-        learn(None, counts, method="equal:2", data=CellData(twin))
-    message = (
-        "data was built under FitConfig(degree=3, clamp=True), "
-        "not under fit_config FitConfig(degree=1, clamp=True)"
-    )
-    with pytest.raises(ValueError, match=re.escape(message)):
-        learn(None, counts, method="equal:2", fit_config=FitConfig(degree=1), data=CellData(counts))
-    # the default FitConfig matches a CellData built without one
-    assert learn(None, counts, method="equal:2", data=CellData(counts)).n_bins == 2
+    for run in (
+        lambda: learn(None, counts, method="equal:2"),
+        lambda: learn(None, counts, method="tikhonov"),  # before the gamma is picked
+        lambda: learn(events, counts),
+        lambda: divide("ivanov", counts, events),
+        lambda: divide("relaxed", counts, config=SearchConfig(eta_seconds=600.0)),
+    ):
+        with pytest.raises(TypeError, match="^data must be a CellData, got CountTable$"):
+            run()
+
+
+@pytest.mark.parametrize("method, events, config, message", [
+    ("tikhonov", None, SearchConfig(), "tikhonov division requires gamma to be set"),
+    ("relaxed", None, SearchConfig(), "relaxed division requires eta_seconds"),
+    ("ivanov", None, SearchConfig(), "ivanov division requires training arrival times"),
+    ("ivanov", steep_series(2, 200, seed=8), SearchConfig(), "events have 2 days but counts have 3"),
+])
+def test_learn_and_divide_refuse_a_missing_requirement_alike(monkeypatch, method, events, config, message):
+    counts = CountTable.from_events(steep_series(3, 200, seed=8), 300.0)
+    # learn picks a missing gamma itself; one that comes back None is refused as divide refuses it
+    monkeypatch.setattr(binning, "_select_gamma", lambda data, config: None)
+    refused = []
+    for run in (lambda: learn(events, CellData(counts), method=method, config=config),
+                lambda: divide(method, CellData(counts), events, config)):
+        with pytest.raises(ValueError) as info:
+            run()
+        refused.append(str(info.value))
+    assert refused == [message, message]
 
 
 # --- restarts ranked by binned_risk -------------------------------------------
@@ -674,5 +695,5 @@ def test_reported_binned_risk_is_the_score_that_ranked_the_restarts(method):
     config = SearchConfig(max_depth=12, max_bins=12, max_restarts=4, max_retries=3, seed=0,
                           eta_seconds=1200.0 if method == "relaxed" else None)
     data = CellData(counts, fit_config)
-    report = learn(train, counts, method=method, fit_config=fit_config, config=config, data=data)
+    report = learn(train, data, method=method, config=config)
     assert bits(report.binned_risk) == bits(outer_score(data, report.partition.knots))

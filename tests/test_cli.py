@@ -452,6 +452,59 @@ def test_simulate_names_a_negative_test_day_count(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_a_day_with_no_arrivals(runner, tmp_path):
+    # an event file cannot hold an empty day: this run wrote 13 events in 10
+    # days, and train.csv loaded as 8 days
+    cfg = tmp_path / "sparse.json"
+    cfg.write_text(json.dumps({"count_lo": 0, "count_hi": 2}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--days-train", "10", "--out-dir", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert "Error: simulated train day 2 has no arrivals" in result.output
+    assert not out.exists()
+
+
+BAD_JSON = [
+    ("[]", "config file must hold a JSON object, got list"),
+    ("[1]", "config file must hold a JSON object, got list"),
+    ('"x"', "config file must hold a JSON object, got str"),
+    ("{x", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"rate": {"breakpoints": [0, 86400]}}', "rate config missing field 'segments'"),
+    ('{"rate": {"breakpoints": [0, 86400], "segments": [1]}}',
+     "rate config segment 0 must be a pair of numbers [slope, intercept], got 1"),
+    ('{"rate": {"breakpoints": [0, 86400], "segments": [[0, 1]], "scale": null}}',
+     "rate config field 'scale' must be a number, got None"),
+    ('{"rate": {"breakpoints": [0, 86400], "segments": [[0, 1]], "scale": "x"}}',
+     "rate config field 'scale' must be a number, got 'x'"),
+    ('{"rate": [0, 86400]}', "rate config must be an object, got [0, 86400]"),
+]
+
+
+@pytest.mark.parametrize("command", ["exp1", "exp2", "simulate"])
+@pytest.mark.parametrize("text, message", BAD_JSON)
+def test_a_bad_config_file_is_named_before_any_output(runner, tmp_path, command, text, message):
+    # [] ended in a TypeError traceback, a bad rate after exp1 and exp2 had
+    # made --out-dir, and neither JSON errors nor rate errors named the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Error: {cfg}: {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["day,seconds\n0,1.0\n", "\xff"])
+def test_eval_names_a_model_file_that_is_not_json(runner, tmp_path, text):
+    model = tmp_path / "train.csv"
+    model.write_bytes(text.encode("latin-1"))
+    result = runner.invoke(main, ["eval", "--model", str(model), "--input", str(model)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {model}: invalid JSON: " in result.output
+
+
 @pytest.mark.parametrize("bounds, message", [
     (["--lo", "90000", "--hi", "95000"], "--hi 95000 is above the end of the window [0, 86400)"),
     (["--hi", "86400.5"], "--hi 86400.5 is above the end of the window [0, 86400)"),

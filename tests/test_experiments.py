@@ -216,10 +216,9 @@ def assert_baseline_columns_refit(cfg, path):
     rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
     assert len(rows) == 2
     for row, (method, events) in zip(rows, (("ivanov", train), ("tikhonov", None))):
-        rep = learn(events, train_table, test_table, method=method,
-                    fit_config=cfg.fit_config(), config=cfg.search_config())
-        assert row[3:5] == [_fmt(rep.rmse_test), f"{rep.n_bins}"]
         data = CellData(train_table, cfg.fit_config())
+        rep = learn(events, data, test_table, method=method, config=cfg.search_config())
+        assert row[3:5] == [_fmt(rep.rmse_test), f"{rep.n_bins}"]
         model, _, _ = fit_partition(data, equal_partition(train_table.window, rep.n_bins))
         eq_train, eq_test = evaluate(model, train_table), evaluate(model, test_table)
         assert row[5:] == [_fmt(eq_train), _fmt(eq_test), _fmt((eq_test - rep.rmse_test) * 100.0 / eq_test)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,24 @@ def test_rate_from_dict_validates_payload():
     # scale is optional and defaults to seconds
     bare = {"breakpoints": [0.0, 10.0], "segments": [[0.0, 3.0]]}
     assert PiecewiseLinearRate.from_dict(bare).scale == 1.0
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([0.0, 10.0], "rate config must be an object, got [0.0, 10.0]"),
+    ({"breakpoints": 10, "segments": [[0, 1]]}, "rate config field 'breakpoints' must be a list of numbers, got 10"),
+    ({"breakpoints": [0, "10"], "segments": [[0, 1]]}, "field 'breakpoints' must be a list of numbers"),
+    ({"breakpoints": [0, 10], "segments": {"a": 1}}, "rate config field 'segments' must be a list of pairs"),
+    ({"breakpoints": [0, 10], "segments": [1]}, "rate config segment 0 must be a pair of numbers"),
+    ({"breakpoints": [0, 10, 20], "segments": [[0, 1], [0, 1, 2]]}, "rate config segment 1 must be a pair"),
+    ({"breakpoints": [0, 10], "segments": [[0, None]]}, "rate config segment 0 must be a pair of numbers"),
+    ({"breakpoints": [0, 10], "segments": [[True, 1]]}, "rate config segment 0 must be a pair of numbers"),
+    ({"breakpoints": [0, 10], "segments": [[0, 1]], "scale": None}, "field 'scale' must be a number, got None"),
+    ({"breakpoints": [0, 10], "segments": [[0, 1]], "scale": "x"}, "field 'scale' must be a number, got 'x'"),
+])
+def test_rate_from_dict_names_a_field_of_the_wrong_type(payload, message):
+    # each of these ended in a TypeError, or in float()'s message naming no field
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PiecewiseLinearRate.from_dict(payload)
 
 
 # --- samplers -----------------------------------------------------------------
