@@ -342,7 +342,9 @@ def _check_divider(method: str, data: CellData, events: EventSeries | None, conf
 
     Both ``divide`` and ``learn`` call it once, before any search; ``learn``
     after it has picked tikhonov's gamma.  ``ivanov`` needs ``events``, the
-    training arrivals that ``data``'s table tallies.
+    training arrivals that ``data``'s table tallies.  For ``learn``, whose
+    method is already parsed and whose gamma is picked, only the relaxed and
+    ivanov requirements can fail.
     """
     if method not in DIVIDERS:
         raise ValueError(f"unknown divider '{method}' (expected one of {', '.join(DIVIDERS)})")

@@ -11,7 +11,7 @@ import click
 
 from .binning import learn as learn_model
 from .core import CountTable
-from .dataio import load_events, load_model, save_events, save_model
+from .dataio import check_storable, load_events, load_model, save_events, save_model
 from .experiments import (
     ExperimentConfig,
     make_synthetic_geo,
@@ -100,17 +100,11 @@ def simulate(cfg):
     if cfg.n_train_days < 1:  # a training file with no rows is one learn cannot read
         raise ValueError(f"n_train_days must be at least 1, got {cfg.n_train_days!r}")
     train, test = make_dataset(
-        cfg.build_rate(), cfg.n_train_days, cfg.n_test_days,
+        cfg.sim_rate, cfg.n_train_days, cfg.n_test_days,
         seed=cfg.seed, mode=cfg.sim_mode, count_range=(cfg.count_lo, cfg.count_hi),
     )
-    # a day exists in an event file only through its rows, so an empty one would vanish
-    for name, series in (("train", train), ("test", test)):
-        empty = [d for d, arr in enumerate(series.days) if not arr.size]
-        if empty:
-            raise ValueError(
-                f"simulated {name} day {empty[0]} has no arrivals, and an event file cannot hold an empty day "
-                "(raise count_lo or the rate)"
-            )
+    check_storable(train, "simulated train")
+    check_storable(test, "simulated test")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_events(train, out / "train.csv")

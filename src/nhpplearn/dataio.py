@@ -8,8 +8,7 @@ round-trip exactly through JSON.  A model file carries a schema ``version``;
 one without it (written before the field existed) is read as version 1.  A
 model file without ``resolution`` loads with the resolution unknown.
 
-An event file is read once, in blocks of whole lines (``_read_events``),
-each ending at a ``\n`` or, where a file has lone ``\r`` line ends, at a ``\r``.
+An event file is read once, in blocks of whole lines (``_read_events``).
 Each block is checked (UTF-8, naming the line that is not; no quote or
 ASCII separator; no longer than csv's field limit), parsed by one
 ``np.loadtxt`` call, and its seconds checked against the window.
@@ -109,16 +108,10 @@ def _read_events(
     day ids are Python ints (object dtype), which also takes ids beyond int64.
     """
     floats = [(name, float) for name in header[1:]]
-    bulk, n_rows, offset, carry = True, 0, 0, b""
+    bulk, n_rows, offset = True, 0, 0
     with open(path, "rb") as fh:
-        while chunk := carry + fh.read(_BLOCK_BYTES):
-            # whole lines: up to the next \n, or, in a chunk with no \n, through
-            # its last \r but one that may start a \r\n (the rest is carried on)
-            cut = -1 if b"\n" in chunk else chunk.rfind(b"\r", 0, -1) + 1
-            if cut > 0:
-                block, carry = chunk[:cut], chunk[cut:]
-            else:
-                block, carry = chunk + fh.readline(), b""
+        while chunk := fh.read(_BLOCK_BYTES):
+            block = chunk + fh.readline()  # whole lines; a file with lone \r ends may be one block
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -180,6 +173,17 @@ def load_events(path: str | Path, window: TimeWindow | None = None) -> EventSeri
     return EventSeries(window=window, days=tuple(np.sort(np.concatenate(parts.pop(d))) for d in sorted(parts)))
 
 
+def check_storable(series: EventSeries, name: str) -> None:
+    """Refuse a series with a day of no arrivals, naming the day.
+
+    A day exists in an event file only through its rows, so ``save_events``
+    writes none for an empty day and the file reads back without it.
+    """
+    for day, arr in enumerate(series.days):
+        if not arr.size:
+            raise ValueError(f"{name} day {day} has no arrivals, and an event file cannot hold an empty day")
+
+
 def save_events(series: EventSeries, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(EVENT_HEADER) + "\r\n")
@@ -236,7 +240,7 @@ def save_model(model: RateModel, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _load_json(path: str | Path):
+def load_json(path: str | Path):
     """The payload of a JSON file; one that does not parse is refused with its path."""
     try:
         with open(path) as fh:
@@ -246,7 +250,7 @@ def _load_json(path: str | Path):
 
 
 def load_model(path: str | Path) -> RateModel:
-    payload = _load_json(path)
+    payload = load_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model file must hold a JSON object")
     version = payload.get("version", MODEL_VERSION)  # files from before the field are version 1

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .binning import SearchConfig, equal_partition, learn
 from .core import CountTable, EventSeries, TimeWindow, check_integer, is_number
-from .dataio import _load_json, save_model
+from .dataio import load_json, save_model
 from .regression import CellData, FitConfig, evaluate, fit_partition
 from .simulate import PiecewiseLinearRate, af_rate, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
@@ -62,7 +62,7 @@ class ExperimentConfig:
         # checked there, so a bad config file fails before anything is made
         self.search_config()
         self.fit_config()
-        self.build_rate()
+        object.__setattr__(self, "_rate", af_rate() if self.rate is None else PiecewiseLinearRate.from_dict(self.rate))
         for name in ("n_train_days", "n_test_days", "count_lo", "count_hi", "clusters"):
             check_integer(name, getattr(self, name))
         if self.clusters < 1:
@@ -112,7 +112,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, defaults: "ExperimentConfig | None" = None) -> "ExperimentConfig":
-        payload = _load_json(path)
+        payload = load_json(path)
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: config file must hold a JSON object, got {type(payload).__name__}")
         base = defaults or cls()
@@ -128,10 +128,10 @@ class ExperimentConfig:
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
-    def build_rate(self) -> PiecewiseLinearRate:
-        if self.rate is None:
-            return af_rate()
-        return PiecewiseLinearRate.from_dict(self.rate)
+    @property
+    def sim_rate(self) -> PiecewiseLinearRate:
+        """The rate to simulate, built from ``rate`` (or ``af_rate()``) when the config is made."""
+        return self._rate
 
     def search_config(self, **extra) -> SearchConfig:
         base = dict(
@@ -168,7 +168,7 @@ def _write_csv(path: Path, header: str, rows: list[list]) -> None:
 
 
 def _dataset(cfg: ExperimentConfig) -> tuple[EventSeries, EventSeries, CountTable, CountTable]:
-    rate = cfg.build_rate()
+    rate = cfg.sim_rate
     train, test = make_dataset(
         rate,
         cfg.n_train_days,

@@ -613,16 +613,14 @@ def test_learn_and_divide_refuse_data_that_is_not_a_cell_data():
             run()
 
 
+# learn picks tikhonov's gamma itself, so only divide can lack it
 @pytest.mark.parametrize("method, events, message", [
-    ("tikhonov", None, "tikhonov division requires gamma to be set"),
     ("relaxed", None, "relaxed division requires eta_seconds"),
     ("ivanov", None, "ivanov division requires training arrival times"),
     ("ivanov", steep_series(2, 200, seed=8), "events have 2 days but counts have 3"),
 ])
-def test_learn_and_divide_refuse_a_missing_requirement_alike(monkeypatch, method, events, message):
+def test_learn_and_divide_refuse_a_missing_requirement_alike(method, events, message):
     counts = CountTable.from_events(steep_series(3, 200, seed=8), 300.0)
-    # learn picks a missing gamma itself; one that comes back None is refused as divide refuses it
-    monkeypatch.setattr(binning, "_select_gamma", lambda data, config: None)
     refused = []
     for run in (lambda: learn(events, CellData(counts), method=method),
                 lambda: divide(method, CellData(counts), events)):

@@ -177,12 +177,6 @@ def test_plain_files_skip_the_row_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "_parse_event_rows", refuse)
     assert load_events(path).total_events == 9000
     assert load_geo_events(geo).day.size == 2
-    # lone \r line ends are cut into blocks at a \r, so no block is over the field limit
-    lone = tmp_path / "lone.csv"
-    lone.write_bytes(path.read_bytes().replace(b"\r\n", b"\r"))
-    assert b"\n" not in lone.read_bytes() and lone.stat().st_size > csv.field_size_limit()
-    got = load_events(lone)
-    assert [arr.tobytes() for arr in got.days] == [arr.tobytes() for arr in load_events(path).days]
     # blocks of only the header or only blank lines are skipped, not sent to the row parser
     monkeypatch.setattr(dataio, "_BLOCK_BYTES", 7)
     path.write_text("day,seconds\n0,1.0\n" + "\n" * 20 + "0,2.0\n")
@@ -389,11 +383,9 @@ def assert_same_outcome(got, want):
 @example(case=("day,seconds\n0,5.0\n0,1.0\n1,3.0\n2,2.0\n2,0.5\n", W), block=dataio._BLOCK_BYTES)
 @example(case=("day,seconds\n2,5.0\n2,1.0\n1,3.0\n0,2.0\n0,0.5\n", W), block=dataio._BLOCK_BYTES)
 @example(case=("day,seconds\n1,0.0\n0,-0.0\n1,-0.0\n0,0.0\n1,7.5\n0,-0.0\n", W), block=dataio._BLOCK_BYTES)
-# days that span blocks, with \r\n line ends; lone \r line ends, read to the end of the file by a
-# first block whose chunk holds no \r (the header is longer than 7 bytes), and cut at a \r into blocks
+# days that span blocks, with \r\n line ends; lone \r line ends, which make one block
 @example(case=("day,seconds\r\n0,5.0\r\n0,1.0\r\n0,-0.0\r\n1,3.0\r\n1,0.0\r\n2,2.0\r\n", W), block=7)
 @example(case=("day,seconds\r1,0.0\r0,-0.0\r1,-0.0\r0,0.0\r1,7.5\r0,-0.0\r", W), block=7)
-@example(case=("day,seconds\r" + "1,0.0\r0,-0.0\r1,7.5\r\r" * 6 + "0,2.5", W), block=64)
 # blocks of only blank lines, after rows and after the header
 @example(case=("day,seconds\n0,1.0\n" + "\n" * 20 + "0,2.0\n\r\n\r\n", W), block=7)
 @example(case=("day,seconds\r\n" + "\r\n" * 70 + "0,2.0", W), block=64)
