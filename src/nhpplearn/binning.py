@@ -6,9 +6,10 @@ splits at uniformly sampled points, and candidate intervals are refined
 worst-fit-first (highest per-cell risk next), so a tight bin budget flows to
 the stretches the current fit explains worst:
 
-* ``ivanov``: a candidate split is probed with per-day homogeneity tests on
-  both halves, the left first; a failing left half settles the probe, so the
-  right half is then not tested.  While a half still fails, the interval gets
+* ``ivanov``: a candidate split is probed with per-day homogeneity tests of
+  the training arrivals (``data.arrivals``, which ``CellData.from_events``
+  keeps) on both halves, the left first; a failing left half settles the
+  probe, so the right half is then not tested.  While a half still fails, the interval gets
   refined; an interval becomes a leaf once probes keep producing two passing
   halves (the binning constraint: final bins look homogeneous-Poisson).
 * ``tikhonov``: no tests; every probe splits.  ``gamma`` weights the
@@ -39,7 +40,6 @@ import numpy as np
 
 from .core import (
     CountTable,
-    EventSeries,
     FitReport,
     Partition,
     RateModel,
@@ -193,16 +193,8 @@ class _SearchEngine:
     running sums.
     """
 
-    def __init__(
-        self,
-        data: CellData,
-        events: EventSeries | None,
-        method: str,
-        config: SearchConfig,
-        restart_index: int = 0,
-    ):
+    def __init__(self, data: CellData, method: str, config: SearchConfig, restart_index: int = 0):
         self.data = data
-        self.events = events
         self.window = data.window
         self.method = method
         self.config = config
@@ -238,7 +230,7 @@ class _SearchEngine:
         # an ivanov interval carries each day's arrivals in it, as views of the
         # day arrays (the window holds them all), and its halves are cut from them
         heap: list[tuple[float, int, float, float, int, float, int, list[np.ndarray] | None]] = []
-        days = list(self.events.days) if self.method == "ivanov" else None
+        days = list(self.data.arrivals.days) if self.method == "ivanov" else None
         self._enqueue(heap, lo, hi, 0, risk, m, days)
         while heap:
             _, _, a, b, depth, risk, m, days = heapq.heappop(heap)
@@ -337,14 +329,14 @@ class _SearchEngine:
             return [(*child, half) for child, half in zip(children, halves)]
 
 
-def _check_divider(method: str, data: CellData, events: EventSeries | None, config: SearchConfig) -> None:
+def _check_divider(method: str, data: CellData, config: SearchConfig) -> None:
     """Refuse a run of divider ``method`` on ``data`` that lacks what the divider needs.
 
     Both ``divide`` and ``learn`` call it once, before any search; ``learn``
-    after it has picked tikhonov's gamma.  ``ivanov`` needs ``events``, the
-    training arrivals that ``data``'s table tallies.  For ``learn``, whose
-    method is already parsed and whose gamma is picked, only the relaxed and
-    ivanov requirements can fail.
+    after it has picked tikhonov's gamma.  ``ivanov`` needs ``data.arrivals``,
+    which only ``CellData.from_events`` sets.  For ``learn``, whose method is
+    already parsed and whose gamma is picked, only the relaxed and ivanov
+    requirements can fail.
     """
     if method not in DIVIDERS:
         raise ValueError(f"unknown divider '{method}' (expected one of {', '.join(DIVIDERS)})")
@@ -352,21 +344,8 @@ def _check_divider(method: str, data: CellData, events: EventSeries | None, conf
         raise ValueError("tikhonov division requires gamma to be set")
     if method == "relaxed" and config.eta_seconds is None:
         raise ValueError("relaxed division requires eta_seconds")
-    if method != "ivanov":
-        return
-    counts = data.table
-    if events is None:
+    if method == "ivanov" and data.arrivals is None:
         raise ValueError("ivanov division requires training arrival times")
-    if events.window != counts.window:
-        raise ValueError("events and counts must share a window")
-    if events.n_days != counts.n_days:
-        raise ValueError(f"events have {events.n_days} days but counts have {counts.n_days}")
-    arrivals = np.array([arr.size for arr in events.days])
-    totals = counts.counts.sum(axis=1)
-    bad = np.flatnonzero(arrivals != totals)
-    if bad.size:
-        d = bad[0]
-        raise ValueError(f"day {d}: {arrivals[d]} arrivals but its count row sums to {totals[d]:g}")
 
 
 def _check_data(data: CellData) -> None:
@@ -375,23 +354,20 @@ def _check_data(data: CellData) -> None:
 
 
 def divide(
-    method: str,
-    data: CellData,
-    events: EventSeries | None = None,
-    config: SearchConfig | None = None,
-    restart_index: int = 0,
+    method: str, data: CellData, config: SearchConfig | None = None, restart_index: int = 0
 ) -> SearchTrace:
     """One division run (no restarts) with one of ``DIVIDERS`` on the fits of ``data``.
 
-    ``ivanov`` needs ``events``, the training arrivals that ``data.table``
-    tallies; ``tikhonov`` needs ``config.gamma``; ``relaxed`` splits until
-    intervals reach twice ``config.eta_seconds``.  ``restart_index`` picks
-    the random stream, as restart ``r`` of ``learn`` does.
+    ``ivanov`` tests ``data.arrivals``, so ``data`` must come from
+    ``CellData.from_events``; ``tikhonov`` needs ``config.gamma``; ``relaxed``
+    splits until intervals reach twice ``config.eta_seconds``.
+    ``restart_index`` picks the random stream, as restart ``r`` of ``learn``
+    does.
     """
     config = config or SearchConfig()
     _check_data(data)
-    _check_divider(method, data, events, config)
-    return _SearchEngine(data, events, method, config, restart_index).run()
+    _check_divider(method, data, config)
+    return _SearchEngine(data, method, config, restart_index).run()
 
 
 def parse_method(method: str) -> tuple[str, int | None]:
@@ -410,7 +386,6 @@ def parse_method(method: str) -> tuple[str, int | None]:
 
 
 def learn(
-    train_events: EventSeries | None,
     data: CellData,
     test_counts: CountTable | None = None,
     method: str = "ivanov",
@@ -424,8 +399,8 @@ def learn(
     ``method`` is one of ``ivanov``, ``tikhonov``, ``relaxed``, or
     ``equal:N``; for ``tikhonov`` with ``gamma=None`` the penalty weight is
     picked from a small grid on a held-out tail of the training days.
-    ``ivanov`` tests ``train_events``, which must be the arrivals that
-    ``data.table`` tallies; the other methods ignore them.
+    ``ivanov`` tests ``data.arrivals``, so ``data`` must come from
+    ``CellData.from_events``; the other methods use only the counts.
 
     ``data`` remembers every fit made on it, so several calls on one table
     can pass the same ``CellData`` to share them.  A fit depends only on the
@@ -448,8 +423,8 @@ def learn(
     else:
         if kind == "tikhonov" and config.gamma is None:
             config = replace(config, gamma=_select_gamma(data, config))
-        _check_divider(kind, data, train_events, config)
-        (fit,), traces = _search_best(train_events, data, kind, config, (config.gamma,))
+        _check_divider(kind, data, config)
+        (fit,), traces = _search_best(data, kind, config, (config.gamma,))
     model, risks, sizes = fit
     report = FitReport(
         method=method,
@@ -471,7 +446,6 @@ def learn(
 
 
 def _search_best(
-    train_events: EventSeries | None,
     data: CellData,
     kind: str,
     config: SearchConfig,
@@ -486,9 +460,7 @@ def _search_best(
     wins; ``min`` keeps the first of equal scores, so a tie goes to the
     earlier restart.  A winner is ``fit_partition``'s (model, risks, sizes).
     """
-    traces = [
-        _SearchEngine(data, train_events, kind, config, r).run() for r in range(config.max_restarts)
-    ]
+    traces = [_SearchEngine(data, kind, config, r).run() for r in range(config.max_restarts)]
     winners = []
     for gamma in gammas:
         fits = [fit_partition(data, Partition(data.window, trace.best_state(gamma)[0])) for trace in traces]
@@ -515,7 +487,7 @@ def _select_gamma(data: CellData, config: SearchConfig) -> float:
     fit_table = CountTable(table.window, table.resolution, table.counts[:n_fit])
     val_table = CountTable(table.window, table.resolution, table.counts[n_fit:])
     data = CellData(fit_table, data.config)
-    winners, _ = _search_best(None, data, "tikhonov", config, GAMMA_GRID)
+    winners, _ = _search_best(data, "tikhonov", config, GAMMA_GRID)
     best_gamma = GAMMA_GRID[0]
     best_rmse = math.inf
     for gamma, (model, _, _) in zip(GAMMA_GRID, winners):

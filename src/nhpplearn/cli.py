@@ -21,7 +21,7 @@ from .experiments import (
 )
 from .regression import CellData
 from .regression import evaluate as evaluate_model
-from .simulate import make_dataset
+from .simulate import SIM_MODES, make_dataset
 from .stat_tests import poisson_test_days
 
 
@@ -57,7 +57,7 @@ _CONFIG_FLAGS = {
         ("seed", "--seed", dict(type=int)),
         ("n_train_days", "--days-train", dict(type=int)),
         ("n_test_days", "--days-test", dict(type=int)),
-        ("sim_mode", "--mode", dict(type=click.Choice(["conditioned", "thinning"]))),
+        ("sim_mode", "--mode", dict(type=click.Choice(SIM_MODES))),
         ("degree", "--degree", dict(type=int)),
         ("gamma", "--gamma", dict(type=float)),
         ("epsilon", "--epsilon", dict(type=float)),
@@ -154,13 +154,12 @@ def learn(cfg, input_path, test_input, method, eta_minutes):
         raise ValueError(f"--eta must be a finite, positive number of minutes, got {eta_minutes!r}")
     if method == "relaxed" and eta_minutes is None:
         raise ValueError("--method relaxed needs --eta, the smallest divisible half-interval in minutes")
-    series = load_events(input_path)
-    table = CountTable.from_events(series, cfg.resolution)
+    data = CellData.from_events(load_events(input_path), cfg.resolution, cfg.fit_config())
     test_table = None
     if test_input:
         test_table = CountTable.from_events(load_events(test_input), cfg.resolution)
     search = cfg.search_config(eta_seconds=None if eta_minutes is None else eta_minutes * 60.0)
-    report = learn_model(series, CellData(table, cfg.fit_config()), test_table, method=method, config=search)
+    report = learn_model(data, test_table, method=method, config=search)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(report.model, out / "model.json")
@@ -196,7 +195,8 @@ def exp3(cfg):
     geo = None
     if cfg.geo_path is None:
         geo = make_synthetic_geo(
-            seed=cfg.seed, n_days=cfg.n_train_days + cfg.n_test_days, k_centers=cfg.clusters
+            seed=cfg.seed, n_days=cfg.n_train_days + cfg.n_test_days, k_centers=cfg.clusters,
+            count_range=(cfg.count_lo, cfg.count_hi), rate=cfg.sim_rate, mode=cfg.sim_mode,
         )
     click.echo(f"wrote {run_experiment_3(cfg, geo=geo)}")
 

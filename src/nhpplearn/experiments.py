@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .binning import SearchConfig, equal_partition, learn
-from .core import CountTable, EventSeries, TimeWindow, check_integer, is_number
+from .core import CountTable, check_integer, is_number
 from .dataio import load_json, save_model
 from .regression import CellData, FitConfig, evaluate, fit_partition
-from .simulate import PiecewiseLinearRate, af_rate, make_dataset
+from .simulate import SIM_MODES, PiecewiseLinearRate, af_rate, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
 
 ETA_SWEEP_MINUTES = (600.0, 480.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 30.0, 20.0, 10.0)
@@ -27,6 +27,14 @@ ETA_SWEEP_MINUTES = (600.0, 480.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 30.0, 2
 EXP1_HEADER = "eta,bins,rmse_train,rmse_test"
 EXP2_HEADER = "instance,method,rmse_train,rmse_test,bins,rmse_train_equal,rmse_test_equal,improvement_pct"
 EXP3_HEADER = "area,events,bins,rmse_train,rmse_test"
+
+# what a value of each declared field type must be; an int is a number, and
+# JSON's true and false are neither numbers nor strings
+_FIELD_KINDS = {
+    "float": (is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -58,13 +66,23 @@ class ExperimentConfig:
     geo_path: str | None = None
 
     def __post_init__(self) -> None:
-        # the settings forwarded to the search, the fits and the simulator are
-        # checked there, so a bad config file fails before anything is made
+        # every setting is checked here, so a bad config file fails before
+        # anything is made; a value keeps the type it came with
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, rest = f.type.partition(" | ")
+            if value is None and rest == "None":
+                continue
+            if kind == "int":
+                check_integer(f.name, value)
+            elif kind in _FIELD_KINDS and not _FIELD_KINDS[kind][0](value):
+                raise ValueError(f"{f.name} must be {_FIELD_KINDS[kind][1]}, got {value!r}")
+        if self.sim_mode not in SIM_MODES:
+            raise ValueError(f"sim_mode must be one of {', '.join(SIM_MODES)}, got {self.sim_mode!r}")
+        # the settings forwarded to the search and the fits are range-checked there
         self.search_config()
         self.fit_config()
         object.__setattr__(self, "_rate", af_rate() if self.rate is None else PiecewiseLinearRate.from_dict(self.rate))
-        for name in ("n_train_days", "n_test_days", "count_lo", "count_hi", "clusters"):
-            check_integer(name, getattr(self, name))
         if self.clusters < 1:
             raise ValueError(f"clusters must be at least 1, got {self.clusters!r}")
         # a config file gives a list and the command line a tuple; keep one form
@@ -101,6 +119,8 @@ class ExperimentConfig:
             n_train_days=4,
             n_test_days=2,
             resolution=1800.0,
+            count_lo=600,
+            count_hi=800,
             degree=1,
             max_depth=8,
             max_bins=16,
@@ -167,22 +187,18 @@ def _write_csv(path: Path, header: str, rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _dataset(cfg: ExperimentConfig) -> tuple[EventSeries, EventSeries, CountTable, CountTable]:
-    rate = cfg.sim_rate
+def _dataset(cfg: ExperimentConfig) -> tuple[CellData, CountTable]:
+    """Simulate the config's days: the training arrivals as ``CellData``, the test days' counts."""
     train, test = make_dataset(
-        rate,
+        cfg.sim_rate,
         cfg.n_train_days,
         cfg.n_test_days,
         seed=cfg.seed,
         mode=cfg.sim_mode,
         count_range=(cfg.count_lo, cfg.count_hi),
     )
-    return (
-        train,
-        test,
-        CountTable.from_events(train, cfg.resolution),
-        CountTable.from_events(test, cfg.resolution),
-    )
+    data = CellData.from_events(train, cfg.resolution, cfg.fit_config())
+    return data, CountTable.from_events(test, cfg.resolution)
 
 
 def _require_days(cfg: ExperimentConfig) -> None:
@@ -201,12 +217,11 @@ def run_experiment_1(cfg: ExperimentConfig) -> Path:
     _require_days(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, _, train_table, test_table = _dataset(cfg)
-    data = CellData(train_table, cfg.fit_config())  # every eta reuses the fits of the ones before
+    data, test_table = _dataset(cfg)  # every eta reuses the fits of the ones before
     rows = []
     for eta_minutes in cfg.eta_sweep_minutes:
         search = cfg.search_config(eta_seconds=eta_minutes * 60.0)
-        report = learn(None, data, test_table, method="relaxed", config=search)
+        report = learn(data, test_table, method="relaxed", config=search)
         rows.append([f"{eta_minutes:.6g}", report.n_bins, report.rmse_train, report.rmse_test])
     path = out_dir / "exp1.csv"
     _write_csv(path, EXP1_HEADER, rows)
@@ -222,21 +237,18 @@ def run_experiment_2(cfg: ExperimentConfig) -> Path:
     _require_days(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, _, train_table, test_table = _dataset(cfg)
     # one memo for all three calls: the ivanov and tikhonov restarts draw from
     # the same seed streams, so tikhonov finds many of its intervals fitted
-    data = CellData(train_table, cfg.fit_config())
+    data, test_table = _dataset(cfg)
+    train_table = data.table
     rows = []
 
-    unbinned = learn(None, data, test_table, method="equal:1", config=cfg.search_config())
+    unbinned = learn(data, test_table, method="equal:1", config=cfg.search_config())
     rows.append([cfg.instance, "unbinned", unbinned.rmse_train, unbinned.rmse_test,
                  unbinned.n_bins, None, None, None])
 
-    for label, method, events in (
-        ("dbm_ivanov", "ivanov", train),
-        ("dbm_tikhonov", "tikhonov", None),
-    ):
-        report = learn(events, data, test_table, method=method, config=cfg.search_config())
+    for label, method in (("dbm_ivanov", "ivanov"), ("dbm_tikhonov", "tikhonov")):
+        report = learn(data, test_table, method=method, config=cfg.search_config())
         # the search may leave more bins than cells, which learn's equal:N
         # rejects, so the baseline is fitted here
         equal, _, _ = fit_partition(data, equal_partition(train_table.window, report.n_bins))
@@ -258,8 +270,10 @@ def make_synthetic_geo(
     count_range: tuple[int, int] = (600, 800),
     center_box: tuple[float, float, float, float] = (-122.52, -122.36, 37.70, 37.82),
     spread: float = 0.004,
+    rate: PiecewiseLinearRate | None = None,
+    mode: str = "conditioned",
 ) -> GeoEventSeries:
-    """City-like synthetic data: daily two-peak arrivals scattered around k hotspots."""
+    """City-like synthetic data: ``make_dataset``'s days of ``rate`` (default ``af_rate()``) around k hotspots."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 3, 0)))
     lon0, lon1, lat0, lat1 = center_box
     centers = np.column_stack((
@@ -267,8 +281,8 @@ def make_synthetic_geo(
         rng.uniform(lat0, lat1, k_centers),
     ))
     weights = rng.dirichlet(np.full(k_centers, 2.0))
-    rate = af_rate()
-    train, _ = make_dataset(rate, n_days, 0, seed=seed, count_range=count_range)
+    rate = af_rate() if rate is None else rate
+    train, _ = make_dataset(rate, n_days, 0, seed=seed, mode=mode, count_range=count_range)
     day_col, sec_col, lon_col, lat_col = [], [], [], []
     for d, times in enumerate(train.days):
         n = times.size

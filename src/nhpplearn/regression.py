@@ -24,11 +24,14 @@ record of the fits made on it: a memo, keyed by ``(lo, hi)``, of each fit's
 coefficients, risk and occupancy (the search engine keeps no copy).  It is
 the data ``learn`` and ``divide`` take: ``learn`` passes it to every restart
 and to the final ``fit_partition(data, partition)``.  The caller builds it.
-An experiment builds one per count table and passes it to every ``learn``
-call on that table (the eta sweep, or the unbinned, ivanov and tikhonov
-calls), so an interval is fitted once per experiment call; ``learn_per_area``
-builds one per area, and ``nhpplearn learn`` one per run.  The memo goes
-away with it.
+``CellData.from_events`` builds it from arrival times and keeps them as
+``arrivals``, the days the ivanov divider tests; the counts are tallied from
+those same arrivals, so the two cannot disagree.  A view built from a bare
+count table has no arrivals.  An experiment builds one per training set and
+passes it to every ``learn`` call on it (the eta sweep, or the unbinned,
+ivanov and tikhonov calls), so an interval is fitted once per experiment
+call; ``learn_per_area`` builds one per area, and ``nhpplearn learn`` one per
+run.  The memo goes away with it.
 
 A constant fit (effective degree 0: one cell, or ``degree == 0``) is also
 shared by cell slice, so every ``(lo, hi)`` covering the same cells reuses
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountTable, Partition, RateModel, check_integer
+from .core import CountTable, EventSeries, Partition, RateModel, check_integer
 
 _EPS = np.finfo(float).eps
 
@@ -96,10 +99,11 @@ def fit_bin(
 class CellData:
     """Fit-ready view of a count table under one ``FitConfig``.
 
-    Holds the sorted cell midpoints and per-day values.  Fits are remembered
-    by ``(lo, hi)``, and constant fits also by cell slice, for the life of the
-    view; the returned coefficient arrays are read-only so no caller can
-    alter a remembered fit.
+    Holds the sorted cell midpoints and per-day values, and ``arrivals``, the
+    series the table was tallied from when it was built by ``from_events``
+    (None otherwise).  Fits are remembered by ``(lo, hi)``, and constant fits
+    also by cell slice, for the life of the view; the returned coefficient
+    arrays are read-only so no caller can alter a remembered fit.
     """
 
     def __init__(self, table: CountTable, config: FitConfig | None = None):
@@ -111,9 +115,17 @@ class CellData:
         self.midpoints = table.cell_midpoints()
         self.values = table.counts + 0.0  # polyutils._fit adds 0.0 too: -0.0 becomes 0.0
         self.n_days = table.n_days
+        self.arrivals: EventSeries | None = None
         self._fits: dict[tuple[float, float], tuple[np.ndarray, float, int]] = {}
         # constant fits by cell slice; a dict apart, since (0, 5) == (0.0, 5.0)
         self._constant_fits: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
+
+    @classmethod
+    def from_events(cls, events: EventSeries, resolution: float, config: FitConfig | None = None) -> "CellData":
+        """Count ``events`` on ``resolution``-second cells and keep them as ``arrivals``."""
+        data = cls(CountTable.from_events(events, resolution), config)
+        data.arrivals = events
+        return data
 
     @property
     def total_points(self) -> int:

@@ -18,6 +18,8 @@ from .core import EventSeries, TimeWindow, is_number
 
 _SIM_DOMAIN = 0  # substream namespace for simulation
 
+SIM_MODES = ("conditioned", "thinning")
+
 
 @dataclass(frozen=True)
 class PiecewiseLinearRate:
@@ -262,7 +264,7 @@ def make_dataset(
     for name, n_days in (("n_train_days", n_train_days), ("n_test_days", n_test_days)):
         if n_days < 0:
             raise ValueError(f"{name} must be nonnegative, got {n_days!r}")
-    if mode not in ("conditioned", "thinning"):
+    if mode not in SIM_MODES:
         raise ValueError(f"unknown simulation mode '{mode}'")
     window = rate.window()
 

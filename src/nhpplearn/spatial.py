@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterator
 
@@ -206,10 +206,10 @@ def learn_per_area(
     test_series = _area_series(geo, labels, k, test_ids) if test_ids.size else repeat(None)
     reports = []
     for a, train, test in zip(range(k), train_series, test_series):
-        train_table = CountTable.from_events(train, resolution)
+        data = CellData.from_events(train, resolution, fit_config)
         test_table = None if test is None else CountTable.from_events(test, resolution)
         area_config = replace(config, seed=config.seed + a)
-        reports.append(learn(train, CellData(train_table, fit_config), test_table, method=method, config=area_config))
+        reports.append(learn(data, test_table, method=method, config=area_config))
     return SpatialFit(
         clustering=result,
         reports=tuple(reports),

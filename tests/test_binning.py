@@ -135,17 +135,13 @@ def test_search_config_accepts_every_test_setting():
 
 
 def test_divider_prerequisites():
-    events = uniform_series(2, 50)
-    counts = CountTable.from_events(events, 300.0)
+    counts = CountTable.from_events(uniform_series(2, 50), 300.0)
     with pytest.raises(ValueError, match="requires gamma"):
         divide("tikhonov", CellData(counts))  # gamma left unset
     with pytest.raises(ValueError, match="requires eta_seconds"):
         divide("relaxed", CellData(counts))
     with pytest.raises(ValueError, match="requires training arrival times"):
         divide("ivanov", CellData(counts))
-    with pytest.raises(ValueError, match="share a window"):
-        other = CountTable.from_events(EventSeries(TimeWindow(0.0, 7200.0), (np.array([10.0]),)), 300.0)
-        divide("ivanov", CellData(other), events)
 
 
 @pytest.mark.parametrize("method", ["equal:3", "dbm"])
@@ -185,9 +181,8 @@ def test_relaxed_is_deterministic_per_restart_index():
 
 def test_ivanov_splits_inhomogeneous_data():
     events = steep_series()
-    counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=6, max_bins=8, max_retries=3)
-    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
+    trace = divide("ivanov", CellData.from_events(events, 300.0, FitConfig(degree=1)), cfg)
     assert trace.best_partition().n_bins >= 2
     kinds = {e.kind for e in trace.entries}
     assert "split" in kinds and "root" in kinds
@@ -195,9 +190,8 @@ def test_ivanov_splits_inhomogeneous_data():
 
 def test_ivanov_split_entries_carry_failing_half():
     events = steep_series(4, 200, seed=3)
-    counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=5, max_bins=6, max_retries=2)
-    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
+    trace = divide("ivanov", CellData.from_events(events, 300.0, FitConfig(degree=1)), cfg)
     splits = [e for e in trace.entries if e.kind == "split"]
     assert splits
     for e in splits:
@@ -211,18 +205,16 @@ def test_ivanov_zero_bar_probe_leafs_immediately():
     # min_pass_fraction 0 makes every probe report two passing halves, so a
     # zero retry budget must leave the trivial one-bin partition
     events = steep_series(3, 100, seed=1)
-    counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_retries=0, min_pass_fraction=0.0)
-    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
+    trace = divide("ivanov", CellData.from_events(events, 300.0, FitConfig(degree=1)), cfg)
     assert trace.best_partition().n_bins == 1
     assert [e.kind for e in trace.entries] == ["root", "probe", "leaf"]
 
 
 def test_ivanov_homogeneous_data_stays_coarse():
     events = uniform_series(8, 120, seed=2)
-    counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=8, max_bins=32, max_retries=2, min_pass_fraction=0.5)
-    trace = divide("ivanov", CellData(counts, FitConfig(degree=0)), events, cfg)
+    trace = divide("ivanov", CellData.from_events(events, 300.0, FitConfig(degree=0)), cfg)
     # with a forgiving pass bar, uniform arrivals rarely fail a probe, so the
     # retry budget runs out near the root
     assert trace.best_partition().n_bins <= 6
@@ -233,8 +225,7 @@ def test_probe_halves_equal_tests_of_masked_days():
     # its point; the halves, which a split's children carry on, must be
     # exactly the masked arrivals
     series = steep_series(n_days=4, per_day=400, seed=9)
-    counts = CountTable.from_events(series, 300.0)
-    engine = _SearchEngine(CellData(counts), series, "ivanov", SearchConfig())
+    engine = _SearchEngine(CellData.from_events(series, 300.0), "ivanov", SearchConfig())
     t = series.days[1]
     left_failed = 0
     for lo, hi in ((0.0, 86400.0), (3600.0, 7200.0), (t[10], t[300])):
@@ -270,10 +261,11 @@ def test_probe_halves_equal_tests_of_masked_days():
 def test_trace_risk_matches_full_refit(method, steep, data_seed, search_seed, restart, degree, gamma, eta):
     # the engine's running sums must equal a fresh fit of its best partition
     events = (steep_series if steep else uniform_series)(3, 250, seed=data_seed)
-    counts = CountTable.from_events(events, 300.0)
     fit = FitConfig(degree=degree)
+    data = CellData.from_events(events, 300.0, fit)
+    counts = data.table
     cfg = SearchConfig(max_depth=6, max_bins=10, max_retries=2, gamma=gamma, eta_seconds=eta, seed=search_seed)
-    trace = divide(method, CellData(counts, fit), events, cfg, restart_index=restart)
+    trace = divide(method, data, cfg, restart_index=restart)
     part = trace.best_partition()
     _, risks, sizes = fit_partition(CellData(counts, fit), part)
     penalized = penalized_risk(sizes, risks, part, gamma)
@@ -296,7 +288,7 @@ def test_ties_keep_the_earliest_state(method):
     # zero counts fit exactly, so every visited state ties with the root at 0
     counts = CountTable(W, 300.0, np.zeros((2, 288)))
     cfg = SearchConfig(max_depth=4, max_bins=8, gamma=1e-2, eta_seconds=600.0)
-    trace = divide(method, CellData(counts, FitConfig(degree=1)), None, cfg)
+    trace = divide(method, CellData(counts, FitConfig(degree=1)), cfg)
     assert sum(e.kind == "split" for e in trace.entries) > 0
     assert trace.best_partition().knots == ()
     assert trace.best_state(1.0) == ((), 0.0, 0.0)
@@ -305,7 +297,7 @@ def test_ties_keep_the_earliest_state(method):
 def test_max_bins_budget_is_respected():
     counts = CountTable.from_events(uniform_series(1, 400), 300.0)
     cfg = SearchConfig(max_bins=5, max_depth=20, gamma=1e-4)
-    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), None, cfg)
+    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), cfg)
     # the divider never grows past the cap
     assert max(e.n_bins for e in trace.entries) <= 5
     assert any(e.kind == "leaf" and e.reason == "max-bins" for e in trace.entries)
@@ -314,7 +306,7 @@ def test_max_bins_budget_is_respected():
 def test_max_depth_budget_is_respected():
     counts = CountTable.from_events(uniform_series(1, 400), 300.0)
     cfg = SearchConfig(max_depth=2, max_bins=64, gamma=1e-4)
-    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), None, cfg)
+    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), cfg)
     assert max(e.n_bins for e in trace.entries) <= 4  # depth 2 caps at 4 bins
     assert any(e.reason == "max-depth" for e in trace.entries)
 
@@ -326,7 +318,7 @@ def test_worst_bin_is_refined_first():
     step = np.concatenate([rng.poisson(2.0, size=(4, 72)), rng.poisson(40.0, size=(4, 72))], axis=1)
     counts = CountTable(W, 300.0, np.concatenate([flat, step], axis=1).astype(float))
     cfg = SearchConfig(max_bins=3, max_depth=10, gamma=1e-6)
-    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), None, cfg)
+    trace = divide("tikhonov", CellData(counts, FitConfig(degree=0)), cfg)
     root_split = next(e for e in trace.entries if e.kind == "split" and e.depth == 0)
     p = root_split.proposed_knot
     data = CellData(counts, FitConfig(degree=0))
@@ -341,7 +333,7 @@ def test_worst_bin_is_refined_first():
 
 def test_learn_equal_method_reports_requested_bins():
     counts = CountTable.from_events(uniform_series(2, 200), 300.0)
-    rep = learn(None, CellData(counts, FitConfig(degree=1)), method="equal:6")
+    rep = learn(CellData(counts, FitConfig(degree=1)), method="equal:6")
     assert rep.n_bins == 6
     assert rep.method == "equal:6"
     assert rep.rmse_test is None
@@ -353,50 +345,56 @@ def test_learn_equal_method_refuses_a_trace_path(tmp_path):
     counts = CountTable.from_events(uniform_series(2, 200), 300.0)
     path = tmp_path / "t.jsonl"
     with pytest.raises(ValueError, match="method 'equal:6' runs no search.*trace_path"):
-        learn(None, CellData(counts), method="equal:6", config=SearchConfig(trace_path=str(path)))
+        learn(CellData(counts), method="equal:6", config=SearchConfig(trace_path=str(path)))
     assert not path.exists()
 
 
 def test_learn_equal_bins_are_capped_by_the_cell_count():
     counts = CountTable.from_events(uniform_series(2, 200), 300.0)
-    assert learn(None, CellData(counts), method=f"equal:{counts.n_cells}").n_bins == counts.n_cells
+    assert learn(CellData(counts), method=f"equal:{counts.n_cells}").n_bins == counts.n_cells
     n = counts.n_cells
     with pytest.raises(ValueError, match=f"asks for {n + 1} bins, more than the {n} cells"):
-        learn(None, CellData(counts), method=f"equal:{n + 1}")
+        learn(CellData(counts), method=f"equal:{n + 1}")
 
 
 def test_learn_requires_events_for_ivanov():
     counts = CountTable.from_events(uniform_series(1, 50), 300.0)
     with pytest.raises(ValueError, match="requires training arrival times"):
-        learn(None, CellData(counts), method="ivanov")
+        learn(CellData(counts), method="ivanov")
 
 
-def test_ivanov_rejects_events_the_counts_do_not_tally(monkeypatch):
+def test_ivanov_needs_the_arrivals_its_counts_came_from():
+    # one table with and without its arrivals: only CellData.from_events attaches them
+    events = steep_series(3, 200, seed=1)
+    data = CellData.from_events(events, 300.0)
+    cfg = SearchConfig(max_depth=4, max_bins=4, max_restarts=2, max_retries=1)
+    assert learn(data, config=cfg).n_bins >= 1
+    assert divide("ivanov", data, cfg).entries
+    bare = CellData(data.table)
+    assert bare.arrivals is None
+    refused = []
+    for run in (lambda: learn(bare, config=cfg), lambda: divide("ivanov", bare, cfg)):
+        with pytest.raises(ValueError) as info:
+            run()
+        refused.append(str(info.value))
+    assert refused == ["ivanov division requires training arrival times"] * 2
+
+
+def test_the_divider_is_checked_once_per_call_not_once_per_restart(monkeypatch):
     events = steep_series(6, 300, seed=1)
-    other = CountTable.from_events(steep_series(3, 300, seed=2), 300.0)
     cfg = SearchConfig(max_depth=4, max_bins=4, max_restarts=3, max_retries=1)
-    for run in (lambda e, c: learn(e, CellData(c), config=cfg), lambda e, c: divide("ivanov", CellData(c), e, cfg)):
-        with pytest.raises(ValueError, match="^events have 6 days but counts have 3$"):
-            run(events, other)
-        # the right day count, but day 2 lost its last arrival
-        counts = CountTable.from_events(events, 300.0)
-        short = EventSeries(W, tuple(d[:-1] if i == 2 else d for i, d in enumerate(events.days)))
-        with pytest.raises(ValueError, match="^day 2: 299 arrivals but its count row sums to 300$"):
-            run(short, counts)
-    # checked once per call, not once per restart
     calls = []
     check = binning._check_divider
     monkeypatch.setattr(binning, "_check_divider", lambda *a: calls.append(a) or check(*a))
-    counts = CountTable.from_events(events, 300.0)
-    learn(events, CellData(counts), config=cfg)
-    divide("ivanov", CellData(counts), events, config=cfg)
+    learn(CellData.from_events(events, 300.0), config=cfg)
+    divide("ivanov", CellData.from_events(events, 300.0), config=cfg)
     assert len(calls) == 2
 
 
 def test_learn_gamma_autoselection_uses_grid():
     events = steep_series(4, 150, seed=11)
     counts = CountTable.from_events(events, 300.0)
-    rep = learn(None, CellData(counts, FitConfig(degree=1)), method="tikhonov",
+    rep = learn(CellData(counts, FitConfig(degree=1)), method="tikhonov",
                 config=SearchConfig(max_depth=4, max_bins=6, max_restarts=2, seed=1))
     assert rep.gamma in GAMMA_GRID
     assert rep.penalized_risk is not None
@@ -406,7 +404,7 @@ def test_learn_gamma_autoselection_uses_grid():
 def test_learn_one_day_tikhonov_falls_back_to_gamma_1e_2():
     # one training day leaves none to hold out, so no grid value is scored
     counts = CountTable.from_events(steep_series(1, 200, seed=5), 300.0)
-    rep = learn(None, CellData(counts, FitConfig(degree=1)), method="tikhonov",
+    rep = learn(CellData(counts, FitConfig(degree=1)), method="tikhonov",
                 config=SearchConfig(max_depth=4, max_bins=6, max_restarts=2))
     assert rep.gamma == 0.01
 
@@ -421,7 +419,7 @@ def select_gamma_by_learn(train_counts, fit_config, config):
     best_gamma, best_rmse = GAMMA_GRID[0], math.inf
     for g in GAMMA_GRID:
         sub = replace(config, gamma=g)
-        rep = learn(None, CellData(fit_table, fit_config), val_table, method="tikhonov", config=sub)
+        rep = learn(CellData(fit_table, fit_config), val_table, method="tikhonov", config=sub)
         if rep.rmse_test < best_rmse:
             best_gamma, best_rmse = g, rep.rmse_test
     return best_gamma
@@ -447,8 +445,8 @@ def test_gamma_selection_equals_one_learn_per_grid_value(seed, n_days, degree, r
     fit = FitConfig(degree=degree)
     cfg = SearchConfig(max_depth=8, max_bins=24, max_restarts=restarts, seed=seed)
     gamma = select_gamma_by_learn(counts, fit, cfg)
-    want = learn(None, CellData(counts, fit), test, method="tikhonov", config=replace(cfg, gamma=gamma))
-    got = learn(None, CellData(counts, fit), test, method="tikhonov", config=cfg)
+    want = learn(CellData(counts, fit), test, method="tikhonov", config=replace(cfg, gamma=gamma))
+    got = learn(CellData(counts, fit), test, method="tikhonov", config=cfg)
     assert got.gamma == gamma
     assert bits(*got.partition.knots) == bits(*want.partition.knots)
     assert bits(got.rmse_train, got.rmse_test, got.penalized_risk) == bits(
@@ -463,7 +461,7 @@ def test_tikhonov_search_path_does_not_depend_on_gamma(seed):
     fit = FitConfig(degree=1)
     cfg = SearchConfig(max_depth=6, max_bins=16, seed=seed)
     data = CellData(counts, fit)
-    runs = {g: divide("tikhonov", data, None, replace(cfg, gamma=g), restart_index=seed) for g in (1e-7, 0.3)}
+    runs = {g: divide("tikhonov", data, replace(cfg, gamma=g), restart_index=seed) for g in (1e-7, 0.3)}
     small, large = runs.values()
     # every event matches but the penalized risk, which is reported under each run's gamma
     assert [replace(e, penalized=None) for e in small.entries] == [replace(e, penalized=None) for e in large.entries]
@@ -479,20 +477,18 @@ def test_tikhonov_search_path_does_not_depend_on_gamma(seed):
 
 def test_learn_is_deterministic_for_fixed_seed():
     events = steep_series(3, 200, seed=17)
-    counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=5, max_bins=8, max_restarts=3, max_retries=2, seed=42)
-    a = learn(events, CellData(counts, FitConfig(degree=1)), method="ivanov", config=cfg)
-    b = learn(events, CellData(counts, FitConfig(degree=1)), method="ivanov", config=cfg)
+    a = learn(CellData.from_events(events, 300.0, FitConfig(degree=1)), method="ivanov", config=cfg)
+    b = learn(CellData.from_events(events, 300.0, FitConfig(degree=1)), method="ivanov", config=cfg)
     assert a.partition.knots == b.partition.knots
     assert a.rmse_train == b.rmse_train
 
 
 def test_learn_writes_jsonl_trace(tmp_path):
     events = steep_series(2, 150, seed=19)
-    counts = CountTable.from_events(events, 300.0)
     path = tmp_path / "trace.jsonl"
     cfg = SearchConfig(max_depth=4, max_bins=4, max_restarts=2, max_retries=1, seed=0, trace_path=str(path))
-    learn(events, CellData(counts, FitConfig(degree=1)), method="ivanov", config=cfg)
+    learn(CellData.from_events(events, 300.0, FitConfig(degree=1)), method="ivanov", config=cfg)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines
     best_rows = [r for r in lines if r["event"] == "best"]
@@ -511,18 +507,16 @@ GOLDEN_TRACES = Path(__file__).parent / "data"
 def test_learn_trace_matches_its_golden_file(tmp_path, method, extra):
     # the files pin every byte of the JSONL trace format: fields, order and float reprs
     train, _ = make_dataset(af_rate(), 4, 0, seed=0, count_range=(300, 400))
-    counts = CountTable.from_events(train, 300.0)
     path = tmp_path / "trace.jsonl"
     cfg = SearchConfig(max_depth=6, max_bins=8, max_restarts=2, max_retries=2, seed=0, trace_path=str(path), **extra)
-    learn(train, CellData(counts, FitConfig(degree=1)), method=method, config=cfg)
+    learn(CellData.from_events(train, 300.0, FitConfig(degree=1)), method=method, config=cfg)
     assert path.read_bytes() == (GOLDEN_TRACES / f"trace_{method}.jsonl").read_bytes()
 
 
 def test_trace_entries_replay_states_and_events():
     events = steep_series(3, 250, seed=5)
-    counts = CountTable.from_events(events, 300.0)
     cfg = SearchConfig(max_depth=5, max_bins=6, gamma=1e-3)
-    trace = divide("ivanov", CellData(counts, FitConfig(degree=1)), events, cfg)
+    trace = divide("ivanov", CellData.from_events(events, 300.0, FitConfig(degree=1)), cfg)
     entries = trace.entries
     assert len(entries) == len(trace.events)
     made = [e for e in entries if e.kind in ("root", "split")]
@@ -536,7 +530,8 @@ def test_trace_entries_replay_states_and_events():
         assert entry.right_test == (None if right is None else right.to_dict())
         assert entry.n_bins == len(entry.knots) + 1
     # tikhonov ranks states only under a gamma
-    tik = divide("tikhonov", CellData(counts, FitConfig(degree=1)), None, SearchConfig(max_bins=4, gamma=1e-3))
+    counts = CountTable.from_events(events, 300.0)
+    tik = divide("tikhonov", CellData(counts, FitConfig(degree=1)), SearchConfig(max_bins=4, gamma=1e-3))
     with pytest.raises(ValueError, match="ranked under a gamma"):
         tik.best_state(None)
 
@@ -548,21 +543,21 @@ def report_bytes(rep):
     return json.dumps(rep.summary_dict()), rep.model.coefficients.tobytes()
 
 
-def learn_alone_and_shared(tmp_path, calls, train_counts, fit_config):
-    """Run each (events, method, config, kwargs) call twice: on a CellData of its own, and on one shared one.
+def learn_alone_and_shared(tmp_path, calls, train_events, fit_config):
+    """Run each (method, config, kwargs) call twice: on a CellData of its own, and on one shared one.
 
     Returns the pairs of (report, JSONL trace bytes); the shared calls run in
     order, so each finds the fits of the calls before it.  ``equal:N`` runs no
     search, so it is given no trace path.
     """
-    shared = CellData(train_counts, fit_config)
+    shared = CellData.from_events(train_events, 300.0, fit_config)
     pairs = []
-    for i, (events, method, config, kwargs) in enumerate(calls):
+    for i, (method, config, kwargs) in enumerate(calls):
         out = []
-        for side, data in (("alone", CellData(train_counts, fit_config)), ("shared", shared)):
+        for side, data in (("alone", CellData.from_events(train_events, 300.0, fit_config)), ("shared", shared)):
             path = tmp_path / f"{i}-{side}.jsonl"
             trace_path = None if method.startswith("equal:") else str(path)
-            rep = learn(events, data, method=method, config=replace(config, trace_path=trace_path), **kwargs)
+            rep = learn(data, method=method, config=replace(config, trace_path=trace_path), **kwargs)
             out.append((report_bytes(rep), path.read_bytes() if path.exists() else None))
         pairs.append(out)
     return pairs
@@ -570,43 +565,38 @@ def learn_alone_and_shared(tmp_path, calls, train_counts, fit_config):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_shared_data_over_the_eta_grid_equals_learn_alone(tmp_path, seed):
-    counts = CountTable.from_events(steep_series(3, 400, seed=seed), 300.0)
+    events = steep_series(3, 400, seed=seed)
     test = CountTable.from_events(steep_series(2, 400, seed=seed + 100), 300.0)
     cfg = SearchConfig(max_depth=12, max_bins=96, max_restarts=3, seed=seed)
-    calls = [
-        (None, "relaxed", replace(cfg, eta_seconds=eta * 60.0), {"test_counts": test})
-        for eta in ETA_SWEEP_MINUTES
-    ]
-    for alone, shared in learn_alone_and_shared(tmp_path, calls, counts, FitConfig(degree=3)):
+    calls = [("relaxed", replace(cfg, eta_seconds=eta * 60.0), {"test_counts": test}) for eta in ETA_SWEEP_MINUTES]
+    for alone, shared in learn_alone_and_shared(tmp_path, calls, events, FitConfig(degree=3)):
         assert shared == alone
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_shared_data_over_ivanov_then_tikhonov_equals_learn_alone(tmp_path, seed):
     events = steep_series(6, 300, seed=seed)
-    counts = CountTable.from_events(events, 300.0)
     test = CountTable.from_events(steep_series(2, 300, seed=seed + 100), 300.0)
     cfg = SearchConfig(max_depth=8, max_bins=8, max_restarts=4, max_retries=2, seed=seed)
     with_test = {"test_counts": test}
     calls = [
-        (None, "equal:1", cfg, with_test),
-        (events, "ivanov", cfg, with_test),
-        (None, "tikhonov", cfg, with_test),  # gamma picked on a held-out tail, from a CellData of its own
+        ("equal:1", cfg, with_test),
+        ("ivanov", cfg, with_test),
+        ("tikhonov", cfg, with_test),  # gamma picked on a held-out tail, from a CellData of its own
     ]
-    pairs = learn_alone_and_shared(tmp_path, calls, counts, FitConfig(degree=1))
+    pairs = learn_alone_and_shared(tmp_path, calls, events, FitConfig(degree=1))
     for alone, shared in pairs:
         assert shared == alone
     assert pairs[1][0][1] and pairs[2][0][1]  # both searches wrote a trace
 
 
 def test_learn_and_divide_refuse_data_that_is_not_a_cell_data():
-    events = steep_series(2, 200, seed=7)
-    counts = CountTable.from_events(events, 300.0)
+    counts = CountTable.from_events(steep_series(2, 200, seed=7), 300.0)
     for run in (
-        lambda: learn(None, counts, method="equal:2"),
-        lambda: learn(None, counts, method="tikhonov"),  # before the gamma is picked
-        lambda: learn(events, counts),
-        lambda: divide("ivanov", counts, events),
+        lambda: learn(counts, method="equal:2"),
+        lambda: learn(counts, method="tikhonov"),  # before the gamma is picked
+        lambda: learn(counts),
+        lambda: divide("ivanov", counts),
         lambda: divide("relaxed", counts, config=SearchConfig(eta_seconds=600.0)),
     ):
         with pytest.raises(TypeError, match="^data must be a CellData, got CountTable$"):
@@ -614,16 +604,15 @@ def test_learn_and_divide_refuse_data_that_is_not_a_cell_data():
 
 
 # learn picks tikhonov's gamma itself, so only divide can lack it
-@pytest.mark.parametrize("method, events, message", [
-    ("relaxed", None, "relaxed division requires eta_seconds"),
-    ("ivanov", None, "ivanov division requires training arrival times"),
-    ("ivanov", steep_series(2, 200, seed=8), "events have 2 days but counts have 3"),
+@pytest.mark.parametrize("method, message", [
+    ("relaxed", "relaxed division requires eta_seconds"),
+    ("ivanov", "ivanov division requires training arrival times"),
 ])
-def test_learn_and_divide_refuse_a_missing_requirement_alike(method, events, message):
+def test_learn_and_divide_refuse_a_missing_requirement_alike(method, message):
     counts = CountTable.from_events(steep_series(3, 200, seed=8), 300.0)
     refused = []
-    for run in (lambda: learn(events, CellData(counts), method=method),
-                lambda: divide(method, CellData(counts), events)):
+    for run in (lambda: learn(CellData(counts), method=method),
+                lambda: divide(method, CellData(counts))):
         with pytest.raises(ValueError) as info:
             run()
         refused.append(str(info.value))
@@ -659,7 +648,7 @@ def oracle_winner(data, traces, gamma):
 
 
 def assert_oracle_winners(data, kind, config, gammas):
-    winners, traces = binning._search_best(None, data, kind, config, gammas)
+    winners, traces = binning._search_best(data, kind, config, gammas)
     for gamma, (model, risks, sizes) in zip(gammas, winners):
         knots, score = oracle_winner(data, traces, gamma)
         assert bits(*model.partition.knots) == bits(*knots)
@@ -670,8 +659,7 @@ def assert_oracle_winners(data, kind, config, gammas):
 def test_search_best_picks_the_oracle_winners_over_the_eta_grid(seed):
     # exp1's relaxed restarts tie down to the last bit, so the rounding of the score picks these winners
     cfg = ExperimentConfig.exp1_defaults(seed=seed)
-    _, _, train_table, _ = _dataset(cfg)
-    data = CellData(train_table, cfg.fit_config())
+    data, _ = _dataset(cfg)
     for eta_minutes in cfg.eta_sweep_minutes:
         assert_oracle_winners(data, "relaxed", cfg.search_config(eta_seconds=eta_minutes * 60.0), (None,))
 
@@ -679,7 +667,7 @@ def test_search_best_picks_the_oracle_winners_over_the_eta_grid(seed):
 def test_search_best_picks_the_oracle_winners_over_the_gamma_grid():
     # the fit days of exp2's gamma selection at seed 0
     cfg = ExperimentConfig.exp2_defaults(seed=0)
-    _, _, train_table, _ = _dataset(cfg)
+    train_table = _dataset(cfg)[0].table
     n_fit = min(max(1, math.ceil(0.75 * train_table.n_days)), train_table.n_days - 1)
     fit_table = CountTable(train_table.window, train_table.resolution, train_table.counts[:n_fit])
     assert_oracle_winners(CellData(fit_table, cfg.fit_config()), "tikhonov", cfg.search_config(), GAMMA_GRID)
@@ -688,10 +676,8 @@ def test_search_best_picks_the_oracle_winners_over_the_gamma_grid():
 @pytest.mark.parametrize("method", ["ivanov", "tikhonov", "relaxed"])
 def test_reported_binned_risk_is_the_score_that_ranked_the_restarts(method):
     train, _ = make_dataset(af_rate(), 30, 0, seed=0)
-    counts = CountTable.from_events(train, 300.0)
-    fit_config = FitConfig(degree=1)
     config = SearchConfig(max_depth=12, max_bins=12, max_restarts=4, max_retries=3, seed=0,
                           eta_seconds=1200.0 if method == "relaxed" else None)
-    data = CellData(counts, fit_config)
-    report = learn(train, data, method=method, config=config)
+    data = CellData.from_events(train, 300.0, FitConfig(degree=1))
+    report = learn(data, method=method, config=config)
     assert bits(report.binned_risk) == bits(outer_score(data, report.partition.knots))

@@ -7,7 +7,6 @@ import math
 from pathlib import Path
 
 import click
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -232,6 +231,35 @@ def test_exp3_cli_synthetic_fallback(runner, tmp_path):
     assert (tmp_path / "out" / "exp3_summary.csv").exists()
 
 
+def test_exp3_simulates_with_the_settings_of_its_config(runner, tmp_path):
+    # the synthetic city data ignored the config's count range, rate and
+    # simulation mode, so each of these runs wrote the default's bytes
+    small = {"max_depth": 3, "max_bins": 3, "max_restarts": 1, "max_retries": 1}
+    flat = {"breakpoints": [0, 86400], "segments": [[0, 2]], "scale": 300}
+    summaries = {}
+    for name, extra in [
+        ("default", {}),
+        ("same range", {"count_lo": 600, "count_hi": 800}),
+        ("range", {"count_lo": 5, "count_hi": 6}),
+        ("thinning", {"sim_mode": "thinning", "rate": flat}),
+        ("rate", {"rate": flat, "count_lo": 600, "count_hi": 800}),
+    ]:
+        cfg = tmp_path / f"{len(summaries)}.json"
+        cfg.write_text(json.dumps({**small, **extra}))
+        out = tmp_path / f"out{len(summaries)}"
+        run_ok(runner, [
+            "exp3", "--config", str(cfg), "--days-train", "3", "--days-test", "1", "--clusters", "2",
+            "--out-dir", str(out),
+        ])
+        summaries[name] = (out / "exp3_summary.csv").read_bytes()
+    # exp3's own count range is 600-800, the one the synthetic data always used
+    assert summaries["same range"] == summaries["default"]
+    for name in ("range", "thinning", "rate"):
+        assert summaries[name] != summaries["default"], name
+    events = [int(line.split(b",")[1]) for line in summaries["range"].splitlines()[1:]]
+    assert sum(events) <= 4 * 6
+
+
 def test_errors_exit_nonzero(runner, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n")
@@ -337,6 +365,41 @@ def test_exp2_config_with_a_bad_setting_fails_by_name(runner, tmp_path, payload,
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert message in result.output
     assert not (tmp_path / "out" / "exp2.csv").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"resolution": "x"}, "resolution must be a number, got 'x'"),
+    ({"gamma": "x"}, "gamma must be a number, got 'x'"),
+    ({"epsilon": "x"}, "epsilon must be a number, got 'x'"),
+    ({"epsilon": True}, "epsilon must be a number, got True"),
+    ({"sim_mode": "x"}, "sim_mode must be one of conditioned, thinning, got 'x'"),
+    ({"sim_mode": 1}, "sim_mode must be a string, got 1"),
+    ({"test_method": ["log"]}, "test_method must be a string, got ['log']"),
+    ({"clamp": "no"}, "clamp must be true or false, got 'no'"),
+    ({"clamp": 0}, "clamp must be true or false, got 0"),
+])
+def test_a_config_setting_of_the_wrong_type_is_named_before_any_output(runner, tmp_path, payload, message):
+    # a string resolution or gamma ended in a TypeError traceback (resolution
+    # after --out-dir was made), a string epsilon in a comparison traceback,
+    # a bad sim_mode after --out-dir was made, and "no" was taken as clamp=true
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    result = runner.invoke(main, [
+        "exp2", "--config", str(cfg), "--days-train", "2", "--days-test", "1", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Error: {cfg}: {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_keeps_the_type_of_each_value(tmp_path):
+    # an int is a number, and it is not converted, so outputs keep their bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolution": 600, "gamma": 0, "epsilon": 0.1, "clamp": False}))
+    read = experiments.ExperimentConfig.from_file(cfg)
+    assert (read.resolution, read.gamma, read.epsilon, read.clamp) == (600, 0, 0.1, False)
+    assert type(read.resolution) is int and type(read.gamma) is int
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan"])

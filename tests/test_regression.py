@@ -279,6 +279,21 @@ def test_cell_data_requires_days():
         CellData(CountTable(TimeWindow(0.0, 10.0), 10.0, np.zeros((0, 1))))
 
 
+@pytest.mark.parametrize("resolution", [300.0, 7.0, 3600.0])
+def test_cell_data_from_events_counts_what_count_table_counts(resolution):
+    rng = np.random.default_rng(4)
+    window = TimeWindow(100.0, 30000.0)
+    series = EventSeries(window, tuple(np.sort(rng.uniform(100.0, 30000.0, n)) for n in (0, 40, 250)))
+    config = FitConfig(degree=2, clamp=False)
+    data = CellData.from_events(series, resolution, config)
+    table = CountTable.from_events(series, resolution)
+    assert (data.table.window, data.table.resolution) == (table.window, table.resolution)
+    assert data.table.counts.shape == table.counts.shape
+    assert data.table.counts.tobytes() == table.counts.tobytes()
+    assert data.arrivals is series and data.config is config
+    assert CellData(table, config).arrivals is None
+
+
 # --- partition fits -----------------------------------------------------------
 
 def test_fit_partition_matches_per_bin_fits():
