@@ -14,9 +14,7 @@ from .core import (
     RateModel,
     TimeWindow,
     binned_risk,
-    generalization_bound,
     penalized_risk,
-    vc_bound_xi,
 )
 from .binning import (
     SearchConfig,
@@ -30,10 +28,9 @@ from .dataio import (
     load_geo_events,
     load_model,
     save_events,
-    save_geo_events,
     save_model,
 )
-from .regression import CellData, FitConfig, evaluate, fit_bin, fit_partition
+from .regression import CellData, FitConfig, evaluate, fit_partition
 from .simulate import (
     PiecewiseLinearRate,
     af_rate,
@@ -42,14 +39,7 @@ from .simulate import (
     simulate_thinning,
 )
 from .spatial import GeoEventSeries, kmeans, learn_per_area
-from .stat_tests import (
-    TestOutcome,
-    ks_critical,
-    ks_statistic,
-    log_test,
-    poisson_test_days,
-    uniform_ks_test,
-)
+from .stat_tests import ks_critical, poisson_test_days
 
 __version__ = "0.1.0"
 
@@ -65,34 +55,26 @@ __all__ = [
     "RateModel",
     "SearchConfig",
     "SearchTrace",
-    "TestOutcome",
     "TimeWindow",
     "af_rate",
     "binned_risk",
     "divide",
     "equal_partition",
     "evaluate",
-    "fit_bin",
     "fit_partition",
-    "generalization_bound",
     "kmeans",
     "learn",
     "learn_per_area",
     "load_events",
     "load_geo_events",
     "load_model",
-    "log_test",
     "make_dataset",
     "penalized_risk",
     "save_events",
-    "save_geo_events",
     "save_model",
     "poisson_test_days",
     "simulate_conditioned",
     "simulate_thinning",
-    "uniform_ks_test",
-    "vc_bound_xi",
     "ks_critical",
-    "ks_statistic",
     "__version__",
 ]

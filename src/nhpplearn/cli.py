@@ -49,20 +49,26 @@ def _sweep_option(_, __, value):
         raise click.BadParameter(f"{value!r} is not a comma-separated list of numbers") from None
 
 
+def _field_type(field):
+    """The type of an int or float ``ExperimentConfig`` field, read as ``__post_init__`` reads it."""
+    return {"int": int, "float": float}[ExperimentConfig.__dataclass_fields__[field].type.partition(" | ")[0]]
+
+
 # each flag that sets an ExperimentConfig field, keyed by that field, which is
-# also click's parameter name
+# also click's parameter name; a flag with no settings of its own parses its
+# field's type
 _CONFIG_FLAGS = {
-    field: click.option(flag, field, default=None, **attrs)
+    field: click.option(flag, field, default=None, **(attrs or dict(type=_field_type(field))))
     for field, flag, attrs in [
-        ("seed", "--seed", dict(type=int)),
-        ("n_train_days", "--days-train", dict(type=int)),
-        ("n_test_days", "--days-test", dict(type=int)),
+        ("seed", "--seed", {}),
+        ("n_train_days", "--days-train", {}),
+        ("n_test_days", "--days-test", {}),
         ("sim_mode", "--mode", dict(type=click.Choice(SIM_MODES))),
-        ("degree", "--degree", dict(type=int)),
-        ("gamma", "--gamma", dict(type=float)),
-        ("epsilon", "--epsilon", dict(type=float)),
-        ("resolution", "--resolution", dict(type=float)),
-        ("clusters", "--clusters", dict(type=int)),
+        ("degree", "--degree", {}),
+        ("gamma", "--gamma", {}),
+        ("epsilon", "--epsilon", {}),
+        ("resolution", "--resolution", {}),
+        ("clusters", "--clusters", {}),
         ("eta_sweep_minutes", "--eta-sweep", dict(callback=_sweep_option, help="Comma-separated eta grid in minutes.")),
         ("geo_path", "--input", dict(
             type=click.Path(exists=True), help="Geo events CSV; omitted -> synthetic city data.",

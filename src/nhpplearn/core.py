@@ -328,28 +328,3 @@ def penalized_risk(
     penalty = float(np.sum(sizes[:-1] * risks[:-1] / lengths[:-1]))
     return base + gamma * penalty
 
-
-def vc_bound_xi(m: int, h: int, eta: float) -> float:
-    """Capacity term xi = (h * (ln(2m/h) + 1) - ln(eta / 4)) / m.
-
-    Requires m > h >= 1 and 0 < eta < 1.  Strictly decreasing in m once
-    2m/h clears e^2 (the classic regime where more data tightens the bound).
-    """
-    if h < 1:
-        raise ValueError("capacity h must be >= 1")
-    if m <= h:
-        raise ValueError("sample size m must exceed capacity h")
-    if not (0.0 < eta < 1.0):
-        raise ValueError("confidence level eta must be in (0, 1)")
-    return (h * (math.log(2.0 * m / h) + 1.0) - math.log(eta / 4.0)) / m
-
-
-def generalization_bound(r_emp: float, bound: float, m: int, h: int, eta: float) -> float:
-    """Upper confidence bound on true risk given empirical risk and sup bound B."""
-    if r_emp < 0:
-        raise ValueError("empirical risk must be nonnegative")
-    if bound <= 0:
-        raise ValueError("sup bound B must be positive")
-    xi = vc_bound_xi(m, h, eta)
-    bx = bound * xi
-    return r_emp + 2.0 * bx * (1.0 + math.sqrt(1.0 + r_emp / bx))

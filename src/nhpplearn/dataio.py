@@ -24,8 +24,9 @@ alone words a row error (``path: line N: ...``), accepts all that Python's
 ``int``/``float`` accept, so no file changes fate, and is the oracle the
 blocks are tested against.
 
-Writers produce ``csv.writer``'s bytes (``\\r\\n`` line ends; no field ever
-needs quoting), one joined string per day instead of one call per row.
+The event writer produces ``csv.writer``'s bytes (``\\r\\n`` line ends; no
+field ever needs quoting), one joined string per day instead of one call per
+row.
 """
 
 from __future__ import annotations
@@ -208,13 +209,6 @@ def load_geo_events(path: str | Path, window: TimeWindow | None = None) -> GeoEv
     return GeoEventSeries(
         day=day.astype(int), seconds=body["seconds"], lon=body["lon"], lat=body["lat"], window=window
     )
-
-
-def save_geo_events(geo: GeoEventSeries, path: str | Path) -> None:
-    rows = zip(geo.day.tolist(), geo.seconds.tolist(), geo.lon.tolist(), geo.lat.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(GEO_HEADER) + "\r\n")
-        fh.write("".join([f"{day},{sec!r},{lon!r},{lat!r}\r\n" for day, sec, lon, lat in rows]))
 
 
 MODEL_VERSION = 1  # schema version that save_model writes and load_model reads

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .binning import SearchConfig, equal_partition, learn
-from .core import CountTable, check_integer, is_number
+from .core import CountTable, _cell_edges, check_integer, is_number
 from .dataio import load_json, save_model
 from .regression import CellData, FitConfig, evaluate, fit_partition
-from .simulate import SIM_MODES, PiecewiseLinearRate, af_rate, make_dataset
+from .simulate import SIM_MODES, PiecewiseLinearRate, af_rate, check_count_range, check_day_counts, make_dataset
 from .spatial import GeoEventSeries, learn_per_area
 
 ETA_SWEEP_MINUTES = (600.0, 480.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 30.0, 20.0, 10.0)
@@ -83,6 +83,10 @@ class ExperimentConfig:
         self.search_config()
         self.fit_config()
         object.__setattr__(self, "_rate", af_rate() if self.rate is None else PiecewiseLinearRate.from_dict(self.rate))
+        # the ranges the count tables and the simulation would refuse, in their words
+        _cell_edges(self.sim_rate.window(), self.resolution)
+        check_count_range(self.count_lo, self.count_hi)
+        check_day_counts(self.n_train_days, self.n_test_days)
         if self.clusters < 1:
             raise ValueError(f"clusters must be at least 1, got {self.clusters!r}")
         # a config file gives a list and the command line a tuple; keep one form
@@ -318,8 +322,6 @@ def run_experiment_3(cfg: ExperimentConfig, geo: GeoEventSeries | None = None) -
             f"n_test_days={cfg.n_test_days} leaves none of the data's days to train on (it has {all_days.size})"
         )
     train_ids, test_ids = all_days[:n_train], all_days[n_train:]
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     fit = learn_per_area(
         geo,
         cfg.clusters,
@@ -330,6 +332,8 @@ def run_experiment_3(cfg: ExperimentConfig, geo: GeoEventSeries | None = None) -
         train_days=train_ids,
         test_days=test_ids if test_ids.size else None,
     )
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_paths = []
     rows = []
     for a, report in enumerate(fit.reports):

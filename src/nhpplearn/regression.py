@@ -6,8 +6,7 @@ before the fit is done).  Degree drops automatically when a bin holds too
 few distinct abscissae to support it, and an empty bin yields the zero
 polynomial.
 
-``fit_bin`` fits arbitrary points through ``Polynomial.fit``.
-``CellData.fit_interval`` is the fit the search engine uses, and it repeats
+``CellData.fit_interval`` is the per-bin fit, and it repeats
 ``Polynomial.fit``'s floating-point operations one for one (the domain map
 ``off + scl * x``, the Vandermonde rows, the column norms summed along the
 contiguous axis, ``lstsq`` with rcond ``N * eps``) instead of an algebraically
@@ -17,7 +16,8 @@ partition wins; only the same operations in the same order keep the
 experiment outputs byte-identical.  What the kernel saves is overhead: every cell has one row
 per day, so the Vandermonde matrix and the prediction are built on the
 cell midpoints and tiled over the days (elementwise, hence exact), and no
-``np.unique`` or ``Polynomial`` object is made.
+``np.unique`` or ``Polynomial`` object is made.  The tests keep ``fit_bin``,
+``Polynomial.fit`` on arbitrary points, as its oracle.
 
 A ``CellData`` binds one count table to one ``FitConfig`` and holds the only
 record of the fits made on it: a memo, keyed by ``(lo, hi)``, of each fit's
@@ -67,35 +67,6 @@ class FitConfig:
             raise ValueError("degree must be nonnegative")
 
 
-def fit_bin(
-    times: np.ndarray,
-    counts: np.ndarray,
-    interval: tuple[float, float],
-    config: FitConfig,
-) -> np.ndarray:
-    """Least-squares polynomial for one bin, in bin-local [-1, 1] coordinates.
-
-    Returns ascending-power coefficients padded to length degree + 1.
-    The effective degree is min(degree, #distinct times - 1); an empty bin
-    maps to the zero polynomial.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("bin interval must satisfy lo < hi")
-    times = np.asarray(times, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if times.shape != counts.shape:
-        raise ValueError("times and counts must have matching shapes")
-    out = np.zeros(config.degree + 1)
-    m = times.size
-    if m == 0:
-        return out
-    eff = min(config.degree, int(np.unique(times).size) - 1)
-    poly = np.polynomial.Polynomial.fit(times, counts, deg=max(eff, 0), domain=[lo, hi], window=[-1.0, 1.0])
-    out[: poly.coef.size] = poly.coef
-    return out
-
-
 class CellData:
     """Fit-ready view of a count table under one ``FitConfig``.
 
@@ -143,8 +114,9 @@ class CellData:
     def fit_interval(self, lo: float, hi: float) -> tuple[np.ndarray, float, int]:
         """Fit one interval; returns (coefficients, mean squared residual, occupancy).
 
-        Equal, bit for bit, to ``fit_bin`` on the interval's cells tiled over
-        the days, plus the mean squared residual of that fit.
+        Equal, bit for bit, to ``Polynomial.fit`` on the interval's cells
+        tiled over the days (the tests' ``fit_bin`` oracle), plus the mean
+        squared residual of that fit.
         """
         key = (lo, hi)
         fit = self._fits.get(key)

@@ -216,6 +216,19 @@ def simulate_thinning(
     return np.sort(times[keep])
 
 
+def check_count_range(lo: int, hi: int) -> None:
+    """Reject a daily count range that does not satisfy 0 <= lo <= hi."""
+    if lo < 0 or hi < lo:
+        raise ValueError(f"count_range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+
+
+def check_day_counts(n_train_days: int, n_test_days: int) -> None:
+    """Reject a negative number of training or test days."""
+    for name, n_days in (("n_train_days", n_train_days), ("n_test_days", n_test_days)):
+        if n_days < 0:
+            raise ValueError(f"{name} must be nonnegative, got {n_days!r}")
+
+
 def simulate_conditioned(
     rate: PiecewiseLinearRate,
     window: TimeWindow,
@@ -228,8 +241,7 @@ def simulate_conditioned(
     times are placed by inverse transform on the normalized cumulative rate.
     """
     lo, hi = int(count_range[0]), int(count_range[1])
-    if lo < 0 or hi < lo:
-        raise ValueError("count_range must satisfy 0 <= lo <= hi")
+    check_count_range(lo, hi)
     n = int(rng.integers(lo, hi + 1))
     if n == 0:
         return np.empty(0)
@@ -261,9 +273,7 @@ def make_dataset(
     the same seed reproduces the dataset bit for bit and adding test days
     never perturbs the training days.
     """
-    for name, n_days in (("n_train_days", n_train_days), ("n_test_days", n_test_days)):
-        if n_days < 0:
-            raise ValueError(f"{name} must be nonnegative, got {n_days!r}")
+    check_day_counts(n_train_days, n_test_days)
     if mode not in SIM_MODES:
         raise ValueError(f"unknown simulation mode '{mode}'")
     window = rate.window()

@@ -24,6 +24,11 @@ statistic it computes itself.  "Bit for bit" holds within one SIMD dispatch:
 numpy picks its ``log`` and ``exp`` code by CPU (AVX-512 or not), and those
 can differ in the last bit between hosts.
 
+``poisson_test_days`` returns a ``MultiDayOutcome``.  Pooled mode tests the
+merged days once through ``_day_statistic`` (a merge of at most one arrival
+passes).  The tests keep ``log_test``, ``uniform_ks_test`` and
+``ks_statistic`` as oracles.
+
 ``poisson_test_days`` in per-day mode decides rather than counts: it stops
 as soon as the verdict is settled, passing once the passing days clear the
 bar and failing once passing every untested day would still fall short.  Its
@@ -49,21 +54,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    """Result of a single distribution test; passed iff statistic <= critical."""
-
-    statistic: float
-    critical: float
-    n: int
-    epsilon: float
-    passed: bool
-    method: str
 
 
 def _ks_sup(f: np.ndarray, q: np.ndarray) -> float:
@@ -75,20 +68,6 @@ def _ks_sup(f: np.ndarray, q: np.ndarray) -> float:
     is exact, so two differences give the same double as the four abs values.
     """
     return float(max((q[1:] - f).max(), (f - q[:-1]).max()))
-
-
-def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Exact sup-distance between the empirical CDF and a reference CDF.
-
-    Evaluated at the order statistics: the supremum over x of |F_m(x) - F(x)|
-    is attained as max_i max(|F(x_(i)) - i/m|, |F(x_(i)) - (i-1)/m|).
-    """
-    x = np.sort(np.asarray(samples, dtype=float))
-    m = x.size
-    if m == 0:
-        raise ValueError("KS statistic of an empty sample is undefined")
-    f = np.asarray(cdf(x), dtype=float)
-    return _ks_sup(f, np.arange(m + 1.0) / m)
 
 
 def ks_critical(m: int, epsilon: float) -> float:
@@ -132,37 +111,6 @@ def _day_statistic(arrivals: Sequence[float], lo: float, hi: float, log: bool) -
     if log:
         return float(_log_statistics([arr], [m], lo, hi)[0]), m
     return _ks_sup((arr - lo) / (hi - lo), np.arange(m + 1.0) / m), m
-
-
-def _outcome(stat: float, m: int, epsilon: float, method: str) -> TestOutcome:
-    if m == 0:
-        return TestOutcome(0.0, math.inf, 0, epsilon, True, method)
-    crit = ks_critical(m, epsilon)
-    return TestOutcome(stat, crit, m, epsilon, bool(stat <= crit or m <= 1), method)
-
-
-def log_test(
-    arrivals: Sequence[float],
-    lo: float,
-    hi: float,
-    epsilon: float = 0.05,
-) -> TestOutcome:
-    """Exponential-spacings test of homogeneity on [lo, hi).
-
-    Samples of size <= 1 pass automatically (the statistic is still
-    reported for a single arrival).
-    """
-    return _outcome(*_day_statistic(arrivals, lo, hi, True), epsilon, "log")
-
-
-def uniform_ks_test(
-    arrivals: Sequence[float],
-    lo: float,
-    hi: float,
-    epsilon: float = 0.05,
-) -> TestOutcome:
-    """KS test of the raw arrival times against the uniform law on [lo, hi)."""
-    return _outcome(*_day_statistic(arrivals, lo, hi, False), epsilon, "ks-uniform")
 
 
 _METHODS = ("log", "ks-uniform")
@@ -301,7 +249,8 @@ def poisson_test_days(
     log = method == "log"
     if mode == "pooled":
         merged = np.concatenate([np.asarray(a, dtype=float) for a in day_arrivals]) if n_days else np.empty(0)
-        passed = _outcome(*_day_statistic(merged, lo, hi, log), epsilon, method).passed
+        stat, m = _day_statistic(merged, lo, hi, log)
+        passed = m <= 1 or stat <= ks_critical(m, epsilon)
         return MultiDayOutcome(passed, n_days, n_days, n_days if passed else 0, 1.0, epsilon, method, mode)
     threshold = (1.0 - 2.0 * epsilon) if min_pass_fraction is None else min_pass_fraction
     bar = threshold - 1e-12

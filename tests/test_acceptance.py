@@ -26,18 +26,15 @@ from nhpplearn import (
     fit_partition,
     kmeans,
     ks_critical,
-    ks_statistic,
-    log_test,
     penalized_risk,
     simulate_conditioned,
     simulate_thinning,
-    uniform_ks_test,
-    vc_bound_xi,
 )
 from nhpplearn.cli import main as cli_main
 from nhpplearn.experiments import ExperimentConfig, run_experiment_1, run_experiment_2
 from nhpplearn.regression import CellData, FitConfig
 from nhpplearn.simulate import day_stream
+from oracles import ks_statistic, log_test, uniform_ks_test, vc_bound_xi
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str, elapsed: float, limit: float) -> None:

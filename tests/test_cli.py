@@ -336,6 +336,10 @@ def test_learn_rejects_non_finite_and_non_positive_settings(runner, tmp_path, ar
     (["exp1", "--seed", "-1"], "seed must be nonnegative, got -1"),
     (["exp3", "--clusters", "0"], "clusters must be at least 1, got 0"),
     (["exp3", "--clusters", "-2"], "clusters must be at least 1, got -2"),
+    # exp3 simulated one day, trained on it and wrote an empty rmse_test column
+    (["exp3", "--days-train", "2", "--days-test", "-1", "--clusters", "2"], "n_test_days must be nonnegative, got -1"),
+    # exp3 made --out-dir before it clustered, and left it behind
+    (["exp3", "--days-train", "1", "--days-test", "1", "--clusters", "5000"], "cannot form 5000 clusters from"),
 ])
 def test_a_bad_seed_or_cluster_count_is_named(runner, tmp_path, args, message):
     good = tmp_path / "ok.csv"
@@ -400,6 +404,30 @@ def test_a_config_keeps_the_type_of_each_value(tmp_path):
     read = experiments.ExperimentConfig.from_file(cfg)
     assert (read.resolution, read.gamma, read.epsilon, read.clamp) == (600, 0, 0.1, False)
     assert type(read.resolution) is int and type(read.gamma) is int
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("exp2", {"resolution": 0}, "resolution must be positive and finite, got 0"),
+    ("exp1", {"resolution": 0}, "resolution must be positive and finite, got 0"),
+    ("exp2", {"resolution": 1e-9}, "resolution 1e-09 cuts the 86400 s window into 8.64e+13 cells"),
+    ("exp1", {"count_lo": 10, "count_hi": 5}, "count_range must satisfy 0 <= lo <= hi, got (10, 5)"),
+    ("exp1", {"count_lo": 10, "count_hi": 5, "sim_mode": "thinning"},
+     "count_range must satisfy 0 <= lo <= hi, got (10, 5)"),
+    ("exp2", {"count_lo": -1}, "count_range must satisfy 0 <= lo <= hi, got (-1, 8000)"),
+    ("exp3", {"n_test_days": -1}, "n_test_days must be nonnegative, got -1"),
+])
+def test_a_config_setting_out_of_range_is_named_before_any_output(runner, tmp_path, command, payload, message):
+    # a zero resolution or an inverted count range was refused only once exp1
+    # or exp2 had made --out-dir, without the file named; a thinning config
+    # never uses the count range and ran; exp3 ran with no test days
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    days = ["--days-train", "2"] + ([] if "n_test_days" in payload else ["--days-test", "1"])
+    result = runner.invoke(main, [command, "--config", str(cfg), *days, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert f"Error: {cfg}: {message}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan"])

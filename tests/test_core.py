@@ -22,11 +22,10 @@ from nhpplearn import (
     RateModel,
     TimeWindow,
     binned_risk,
-    generalization_bound,
     penalized_risk,
-    vc_bound_xi,
 )
 from nhpplearn.core import MAX_CELLS
+from oracles import generalization_bound, vc_bound_xi
 
 DAY = TimeWindow(0.0, 86400.0)
 

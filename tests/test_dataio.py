@@ -23,11 +23,11 @@ from nhpplearn import (
     load_geo_events,
     load_model,
     save_events,
-    save_geo_events,
     save_model,
 )
 from nhpplearn import dataio
 from nhpplearn.dataio import EVENT_HEADER, GEO_HEADER, _parse_event_rows, _read_rows
+from oracles import save_geo_events
 
 W = TimeWindow(0.0, 86400.0)
 

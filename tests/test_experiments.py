@@ -102,7 +102,9 @@ def test_config_refuses_settings_that_are_not_integers(tmp_path, name):
     path.write_text(json.dumps({name: 2.5}))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {name} must be an integer, got 2.5$"):
         ExperimentConfig.from_file(path)
-    assert getattr(ExperimentConfig(**{name: np.int64(3)}), name) == 3
+    # a count_hi must clear the default count_lo of 7000
+    value = 8000 if name == "count_hi" else 3
+    assert getattr(ExperimentConfig(**{name: np.int64(value)}), name) == value
 
 
 def test_config_keeps_the_eta_sweep_as_a_tuple(tmp_path):

@@ -19,10 +19,10 @@ from nhpplearn import (
     RateModel,
     TimeWindow,
     binned_risk,
-    fit_bin,
     fit_partition,
 )
 from nhpplearn.regression import CellData, evaluate
+from oracles import fit_bin
 
 
 def table_from_counts(counts, window=None, resolution=10.0):

@@ -12,9 +12,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhpplearn import ks_critical, ks_statistic, log_test, poisson_test_days, stat_tests
-from nhpplearn.stat_tests import TestOutcome as Outcome
-from nhpplearn.stat_tests import _log_statistics, uniform_ks_test
+from nhpplearn import ks_critical, poisson_test_days, stat_tests
+from nhpplearn.stat_tests import MultiDayOutcome, _log_statistics
+from oracles import TestOutcome as Outcome
+from oracles import ks_statistic, log_test, uniform_ks_test
 
 
 # --- the straightforward per-day code, kept as the oracle ---------------------
@@ -582,6 +583,44 @@ def test_pooled_mode_equals_single_merged_test():
     assert pooled.n_days == 4
     with pytest.raises(ValueError, match="unknown aggregation mode"):
         poisson_test_days(days, 0.0, 20.0, mode="daily")
+
+
+def assert_pooled_is_the_day_test_of_the_merge(days, lo, hi, epsilon, method):
+    """Pooled mode's outcome is the oracle one-day test's verdict on all the days merged."""
+    merged = ORACLES[method][0](np.concatenate(days) if days else [], lo, hi, epsilon)
+    want = MultiDayOutcome(
+        merged.passed, len(days), len(days), len(days) if merged.passed else 0, 1.0, epsilon, method, "pooled"
+    )
+    assert poisson_test_days(days, lo, hi, epsilon, method, "pooled") == want
+    return merged
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n_days=st.integers(0, 5),
+    method=st.sampled_from(sorted(ORACLES)),
+    epsilon=st.sampled_from(EPSILONS),
+)
+def test_pooled_verdict_is_the_oracle_day_test_on_the_merged_days(data, n_days, method, epsilon):
+    # most merges are small: no arrival, one, or a few with ties and both ends
+    lo, hi = data.draw(intervals())
+    below_hi = float(np.nextafter(hi, -np.inf))
+    one = st.sampled_from((lo, below_hi)).map(lambda t: [t]) | st.floats(lo, below_hi).map(lambda t: [t])
+    day = st.just([]) | one | arrivals_in(lo, hi, max_size=40)
+    days = [np.asarray(data.draw(day), dtype=float) for _ in range(n_days)]
+    assert_pooled_is_the_day_test_of_the_merge(days, lo, hi, epsilon, method)
+
+
+@pytest.mark.parametrize("method", sorted(ORACLES))
+@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.9])
+@pytest.mark.parametrize("days", [
+    [], [[]], [[], [], []], [[9.99]], [[], [0.0], []], [[], [], [float(np.nextafter(10.0, 0.0))]],
+], ids=["no-day", "one-empty", "three-empty", "one-arrival", "one-of-three", "last-below-hi"])
+def test_pooled_merges_of_at_most_one_arrival_pass(method, epsilon, days):
+    days = [np.asarray(d, dtype=float) for d in days]
+    merged = assert_pooled_is_the_day_test_of_the_merge(days, 0.0, 10.0, epsilon, method)
+    assert merged.passed and merged.n == sum(d.size for d in days)
 
 
 @st.composite
